@@ -66,10 +66,6 @@ class ContinuationOutOfStrip(EigenboundError):
     """k lies below the continuation strip Im k > -eps/4, or continuation disabled."""
 
 
-class SingularFactorization(EigenboundError):
-    """Exact zero pivot: k is a discrete eigenvalue of the Nystrom system."""
-
-
 class TooManyTerms(EigenboundError):
     """Fredholm series term order above the supported limit."""
 
@@ -79,7 +75,8 @@ class ZeroOnContour(EigenboundError):
 
 
 class NonConvergent(EigenboundError):
-    """Adaptive phase tracking exceeded its refinement limit."""
+    """An iteration exceeded its limit or met a non-finite value: phase
+    tracking refinement, or an extended-precision series' term budget."""
 
 
 class CenterIsZero(EigenboundError):

@@ -358,8 +358,9 @@ class BSAssembler:
             delta = np.einsum("nmf,nf->nm", self.mom_pinv, defect)
             rows = np.repeat(np.arange(len(s)), self.nbr.shape[1])
             cols = self.nbr.ravel()
-            np.add.at(a, (rows, cols),
-                      (delta * self.vvals[self.nbr]).ravel())
+            # each row's stencil columns are distinct, so a plain fancy-index
+            # add updates every (row, col) pair once
+            a[rows, cols] += (delta * self.vvals[self.nbr]).ravel()
             diag = np.diagonal(a).copy()
         elif self.diagonal == "subtract":
             s = ball_helmholtz_potential(k, self.node_rho, radius)

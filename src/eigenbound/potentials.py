@@ -271,18 +271,6 @@ def tabulated_potential(radii, values, decay_class=None, center=(0.0, 0.0, 0.0))
                              "tabulated", {"n_samples": len(radii)})
 
 
-def scaled_potential(p: Potential, factor):
-    """factor * V with decay metadata rescaled accordingly."""
-    factor = complex(factor)
-    dc = p.decay_class
-    if isinstance(dc, ExponentialDecay):
-        dc = ExponentialDecay(dc.eps, dc.amp * abs(factor))
-    return Potential(lambda pts: factor * p.value_fn(pts),
-                     lambda pts: factor * p.grad_fn(pts),
-                     dc, p.truncation_radius, p.center,
-                     p.family, {**p.params, "scaled_by": factor})
-
-
 # ---------------------------------------------------------------------------
 # envelope and truncation helpers
 

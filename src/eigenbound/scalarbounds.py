@@ -26,8 +26,8 @@ import numpy as np
 from scipy.special import gammaln, digamma, polygamma
 
 from .errors import (DegenerateK, DivergentB, InadmissibleRho, InadmissibleT,
-                     ModeMismatch, NegativeLogArgument, NonpositiveImK,
-                     WrongDecayClass)
+                     ModeMismatch, NegativeLogArgument, NonConvergent,
+                     NonpositiveImK, WrongDecayClass)
 from .potentials import PotentialFunctionals
 
 _LN_DBL_MAX = math.log(np.finfo(float).max)
@@ -520,17 +520,28 @@ def n_bound_corollary2(fn: PotentialFunctionals, Ct: float, eps: float,
 # ---------------------------------------------------------------------------
 # 50-digit cross-check path (mpmath)
 
+_MP_TERM_LIMIT = 5_000_000
+
+
 def mp_f_series(a, dps: int = 50):
-    """f(a) in software floats; independent evaluation for oracle cross-checks."""
+    """f(a) in software floats; independent evaluation for oracle cross-checks.
+
+    The terms peak near n = e a^2, so an a whose sum needs more than
+    5e6 terms raises NonConvergent at once instead of summing them.
+    """
     import mpmath as mp
     with mp.workdps(dps):
         a = mp.mpf(a)
         if a < 0:
             raise ValueError("f is defined for a >= 0")
+        if mp.e * a * a >= _MP_TERM_LIMIT:
+            raise NonConvergent(f"extended-precision f({float(a):.6g}) needs about "
+                                f"e a^2 = {float(mp.e * a * a):.3g} terms, past the "
+                                f"limit of {_MP_TERM_LIMIT:.0e}")
         s = mp.mpf(1)
         t = a
         n = 1
-        while n < 5_000_000:
+        while n < _MP_TERM_LIMIT:
             s += t
             t *= a * mp.power(1 + mp.mpf(1) / n, mp.mpf(n) / 2) / mp.sqrt(n + 1)
             n += 1
@@ -538,18 +549,25 @@ def mp_f_series(a, dps: int = 50):
                 s += t
                 break
         else:
-            raise RuntimeError("mp_f_series exceeded its term limit")
+            raise NonConvergent(f"extended-precision f({float(a):.6g}) exceeded the "
+                                f"limit of {_MP_TERM_LIMIT:.0e} terms")
         return +s
 
 
 def mp_h_eps(eps, s, dps: int = 50):
+    """h_eps(s) in software floats: t = e^x with x + eps e^x = ln s, which
+    stays well scaled for s far past the double range (Newton on a convex
+    increasing function of x)."""
     import mpmath as mp
     with mp.workdps(dps):
         eps, s = mp.mpf(eps), mp.mpf(s)
         if s == 0:
             return mp.mpf(0)
-        return mp.findroot(lambda t: t * mp.exp(eps * t) - s,
-                           min(s, mp.log(1 + eps * s) / eps + mp.mpf("1e-30")))
+        ls = mp.log(s)
+        x = mp.findroot(lambda x: x + eps * mp.exp(x) - ls,
+                        mp.log(min(s, mp.log1p(eps * s) / eps)),
+                        solver="newton", df=lambda x: 1 + eps * mp.exp(x))
+        return mp.exp(x)
 
 
 def _mp_report(fn, constant, kind, R, T, rho, eps, n_bound, diag):

@@ -1,13 +1,17 @@
 """Zero counting and location for determinant families.
 
 Winding numbers are computed by adaptive phase tracking along closed
-contours: arcs are bisected until consecutive phase steps stay below
-pi/2, so the accumulated argument change is an exact multiple of 2 pi
-for an analytic nonvanishing-on-contour function.  locate_zeros
-subdivides a rectangle until each box isolates one zero (then Newton
-polish) or reaches the minimum box size (then a cluster entry with the
-boxed multiplicity).  jensen_bound evaluates the Nevanlinna-Jensen
-averaged count numerically.
+contours, in breadth-first sweeps: each sweep probes the midpoints of all
+arcs not yet accepted as one batch, and an arc is accepted once both of
+its half steps stay below pi/2 and meet the Ying-Katz sufficient
+sampling condition, so the accumulated argument change is an exact
+multiple of 2 pi for an analytic nonvanishing-on-contour function.  A
+batched function (the radial oracle) gets each sweep in one call; the
+3-D determinant is evaluated one k at a time.  locate_zeros subdivides a
+rectangle until each box isolates one zero (then Newton polish) or
+reaches the minimum box size (then a cluster entry with the boxed
+multiplicity).  jensen_bound evaluates the Nevanlinna-Jensen averaged
+count numerically.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ class ZeroLocation:
 class ZeroCountResult:
     winding: int
     zeros: List[ZeroLocation] = field(default_factory=list)
-    jensen_rhs: Optional[float] = None
-    jensen_n_bound: Optional[float] = None
     resolution_flags: dict = field(default_factory=dict)
 
     @property
@@ -59,19 +61,33 @@ class ZeroCountResult:
 
 
 class _Memo:
-    def __init__(self, fn):
+    """fn with a cache keyed by k.
+
+    A batched fn takes a 1-D array of k and returns their values; any
+    other fn is called one k at a time.  The 3-D determinant stays
+    unbatched on purpose: assembling several dense matrices at once would
+    hold them all in memory.
+    """
+
+    def __init__(self, fn, batched=False):
         self.fn = fn
+        self.batched = batched
         self.cache = {}
-        self.calls = 0
 
     def __call__(self, z):
-        z = complex(z)
-        v = self.cache.get(z)
-        if v is None:
-            v = complex(self.fn(z))
-            self.cache[z] = v
-            self.calls += 1
-        return v
+        return self.many([z])[0]
+
+    def many(self, zs):
+        """Values at every z in zs; each k not yet cached is evaluated once."""
+        zs = [complex(z) for z in zs]
+        new = list(dict.fromkeys(z for z in zs if z not in self.cache))
+        if self.batched and new:
+            self.cache.update(zip(new, np.asarray(self.fn(np.array(new)),
+                                                  dtype=complex).tolist()))
+        else:
+            for z in new:
+                self.cache[z] = complex(self.fn(z))
+        return [self.cache[z] for z in zs]
 
 
 def _sampled_enough(v0, vm, v1):
@@ -92,64 +108,80 @@ def _sampled_enough(v0, vm, v1):
             abs(vm) + abs(v1) > 0.5 * max(abs(dm), abs(d1)))
 
 
+def _sample(fn, gamma, ts):
+    """fn at gamma(t) for every t, in one batch; a zero or a non-finite
+    value raises at once, naming its k."""
+    ks = [gamma(t) for t in ts]
+    vals = fn.many(ks)
+    for k, v in zip(ks, vals):
+        if v == 0.0:
+            raise ZeroOnContour(f"function vanished at contour sample k={k:.6g}")
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise NonConvergent(f"non-finite value {v} at contour sample k={k:.6g}")
+    return vals
+
+
 def _phase_track(fn, gamma, n0, limit):
     """Total phase change of fn along the closed parametric curve gamma(t), t in [0,1].
 
-    Returns (phase change, smallest |fn| sampled).  Each interval is
-    accepted only after a midpoint probe: both half steps must stay below
-    pi/2 and pass the sufficient sampling test of _sampled_enough.
-    Accepting on the endpoint step alone can alias away a full 2 pi loop
-    hiding between samples (a zero just off the contour), which silently
-    corrupts the count; the probe makes the tracker drill into any such
-    feature instead.  An arc whose refinement stalls while its local
-    modulus collapses relative to its neighborhood signals a zero on the
-    contour.  The modulus test is local because a determinant's modulus
-    legitimately spans hundreds of orders of magnitude along one contour.
+    Returns (phase change, smallest |fn| sampled).  The curve starts as
+    n0 equal arcs.  Each sweep probes the midpoints of all arcs not yet
+    accepted in one batch, then accepts an arc only if both half steps
+    stay below pi/2 and pass the sufficient sampling test of
+    _sampled_enough, and splits it at its midpoint otherwise.  An arc's
+    verdict depends on its three samples alone, so the probed points do
+    not depend on the order of the sweeps.  Accepting on the endpoint step
+    alone can alias away a full 2 pi loop hiding between samples (a zero
+    just off the contour), which silently corrupts the count; the probe
+    makes the tracker drill into any such feature instead.  An arc that
+    still fails at depth `limit` (or once the refinement budget is spent)
+    ends the search, at the first such arc in t order: as ZeroOnContour
+    when |fn| near it has collapsed below 1e-12 of its maximum within 32
+    initial arcs, as NonConvergent otherwise.  The modulus test is local
+    because a determinant's modulus legitimately spans hundreds of orders
+    of magnitude along one contour.
     """
     fn = fn if isinstance(fn, _Memo) else _Memo(fn)
     n_init = max(n0, 8)
     ts = list(np.linspace(0.0, 1.0, n_init + 1))
-    vals = [fn(gamma(t)) for t in ts]
-    if any(abs(v) == 0.0 for v in vals):
-        raise ZeroOnContour("function vanished at a contour sample")
-    min_abs = min(abs(v) for v in vals)
-    total = 0.0
-    i = 0
-    depth = {}
+    samples = dict(zip(ts, _sample(fn, gamma, ts)))
+    arcs = [(a, b, 0) for a, b in zip(ts, ts[1:])]     # (t0, t1, depth), in t order
+    steps = {}                                          # t0 -> accepted phase step
     budget = (limit + 2) * (n_init + 1) * 8
-    while i < len(ts) - 1:
-        v0, v1 = vals[i], vals[i + 1]
-        d = depth.get(ts[i], 0)
-        tm = 0.5 * (ts[i] + ts[i + 1])
-        vm = fn(gamma(tm))
-        if abs(vm) == 0.0:
-            raise ZeroOnContour(f"function vanished at contour sample k={gamma(tm):.6g}")
-        min_abs = min(min_abs, abs(vm))
-        d1 = np.angle(vm / v0)
-        d2 = np.angle(v1 / vm)
-        if abs(d1) < 0.5 * math.pi and abs(d2) < 0.5 * math.pi and \
-                _sampled_enough(v0, vm, v1):
-            total += d1 + d2
-            i += 1
-            continue
-        if d >= limit or budget <= 0:
-            lo = max(i - 2, 0)
-            hi = min(i + 3, len(vals))
-            local = [abs(v) for v in vals[lo:hi]] + [abs(vm)]
-            window = [abs(v) for v in
-                      vals[max(i - 32, 0):min(i + 33, len(vals))]]
-            where = (f"at k={gamma(tm):.6g}: local min |f| {min(local):.3g}, "
-                     f"window max |f| {max(window):.3g}, min |f| on the contour "
-                     f"{min_abs:.3g}")
-            if min(local) < _MODULUS_FLOOR * max(window):
-                raise ZeroOnContour(f"modulus collapse at a stalled contour arc {where}")
-            raise NonConvergent(f"phase step refinement exceeded its limit {where}")
-        ts.insert(i + 1, tm)
-        vals.insert(i + 1, vm)
-        depth[ts[i]] = d + 1
-        depth[tm] = d + 1
-        budget -= 1
-    return total, min_abs
+    while arcs:
+        mids = [0.5 * (a + b) for a, b, _ in arcs]
+        samples.update(zip(mids, _sample(fn, gamma, mids)))
+        split = []
+        for (a, b, d), tm in zip(arcs, mids):
+            v0, vm, v1 = samples[a], samples[tm], samples[b]
+            d1 = np.angle(vm / v0)
+            d2 = np.angle(v1 / vm)
+            if abs(d1) < 0.5 * math.pi and abs(d2) < 0.5 * math.pi and \
+                    _sampled_enough(v0, vm, v1):
+                steps[a] = d1 + d2
+                continue
+            if d >= limit or budget <= 0:
+                _stalled(samples, gamma, tm, 1.0 / n_init)
+            split += [(a, tm, d + 1), (tm, b, d + 1)]
+            budget -= 1
+        arcs = split
+    total = 0.0
+    for t in sorted(steps):
+        total += steps[t]
+    return total, min(abs(v) for v in samples.values())
+
+
+def _stalled(samples, gamma, tm, h0):
+    """Raise for the arc around tm that refinement could not resolve; h0 is
+    the initial arc length in t."""
+    near = lambda span: [abs(v) for t, v in samples.items() if abs(t - tm) <= span * h0]
+    local, window = near(2), near(32)
+    where = (f"at k={gamma(tm):.6g}: local min |f| {min(local):.3g}, "
+             f"window max |f| {max(window):.3g}, min |f| on the contour "
+             f"{min(abs(v) for v in samples.values()):.3g}")
+    if min(local) < _MODULUS_FLOOR * max(window):
+        raise ZeroOnContour(f"modulus collapse at a stalled contour arc {where}")
+    raise NonConvergent(f"phase step refinement exceeded its limit {where}")
 
 
 def _winding(total: float) -> int:
@@ -405,6 +437,11 @@ def locate_zeros(fn, region, min_box: float,
     except _SplitFailed as exc:
         raise ZeroOnContour(f"{exc} (every enclosing box was re-partitioned "
                             f"without success)") from None
+    finally:
+        # resolve calls itself through its closure; break that cycle so fn
+        # (a determinant evaluator holding dense grid arrays) is freed on
+        # return rather than at the next cyclic garbage collection
+        resolve = None
 
     # merge duplicates: Newton from adjacent boxes can land on the same zero
     merged: List[ZeroLocation] = []
@@ -426,15 +463,6 @@ def write_zeros_csv(path, zeros: List[ZeroLocation]):
         wr.writerow(["re_k", "im_k", "re_lambda", "im_lambda", "multiplicity"])
         for z in zeros:
             wr.writerow([z.k.real, z.k.imag, z.lam.real, z.lam.imag, z.multiplicity])
-
-
-def write_contour_csv(path, samples):
-    """Contour samples as (re_k, im_k, re_f, im_f) rows."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["re_k", "im_k", "re_f", "im_f"])
-        for k, v in samples:
-            wr.writerow([k.real, k.imag, v.real, v.imag])
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,20 @@ class TestBounds:
         assert data["extended_cross_check"]["theorem_rel_dev"] < 1e-12
         assert data["extended_cross_check"]["corollary_rel_dev"] < 1e-12
 
+    def test_extended_precision_past_doubles_exits_4(self, tmp_path, monkeypatch, capsys):
+        # the m2 well: its Theorem 2 bound lies past the double range, and
+        # its extended cross-check past the series' term limit
+        monkeypatch.setenv("EIGENBOUND_PRECISION", "extended")
+        cfg = _write_config(tmp_path, {
+            "potential": {"family": "screened_coulomb",
+                          "parameters": {"v0": -37.0, "rate": 1.0,
+                                         "core_radius": 0.25, "smoothing": 0.05}},
+            "eps": 0.5, "tolerances": {"quadrature": 1e-3}})
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "bounds"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical non-convergence" in err and "terms" in err
+
     def test_theorem2_mode(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "potential": {"family": "mollified_exponential",

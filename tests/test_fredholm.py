@@ -90,6 +90,13 @@ class TestAssembly:
         got1 = cw @ asm.nodes - got0[:, None] * asm.nodes
         assert np.max(np.abs(got1 - exact1)) < 1e-9 * max(np.max(np.abs(exact1)), 1.0)
 
+    def test_stencil_columns_unique_per_row(self, bump_unit):
+        # the moment correction adds into a[row, nbr[row]] with one fancy-index
+        # add, which would drop updates if a row listed a column twice
+        for n_rad, n_ang in ((6, 14), (12, 38)):
+            asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, n_rad, n_ang))
+            assert all(len(set(row)) == len(row) for row in asm.nbr.tolist())
+
     def test_row_action_close_to_true_integral(self, bump_unit):
         # (A 1)_i vs int K(x_i, y) V(y) dy by a chord-spherical reference
         # (singularity removed); rows near the support edge see only the

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from eigenbound import oracle as orc
 from eigenbound import potentials as pot
-from eigenbound.errors import ChannelTruncationUnsafe, NonpositiveImK
+from eigenbound.errors import ChannelTruncationUnsafe, NonpositiveImK, StiffIntegration
 
 # thresholds of the unit bump well -g*exp(1+1/(r^2-1)) from the pre-build
 # zero-energy sweep of the asymptotic growing-component coefficient
@@ -75,6 +76,76 @@ class TestJostValue:
         # explicit l=1 form: -e^{iz}(1 + i/z)
         assert h1 == pytest.approx(-np.exp(1j * z) * (1 + 1j / z), rel=1e-13)
         assert h0 == pytest.approx(-1j * np.exp(1j * z), rel=1e-13)
+
+
+def _solve_ivp_jost(rp, k):
+    """The Jost-like value from one scipy solve_ivp(DOP853) per k."""
+    l, r_max = rp.l, rp.r_max
+    z0 = k * r_max
+    u0 = (1j) ** l * orc._hankel_poly(l, z0)
+    du0 = (1j) ** l * k * (orc._hankel_poly(l - 1, z0) - (l / z0) * orc._hankel_poly(l, z0))
+
+    def rhs(r, y):
+        u = y[0] + 1j * y[1]
+        upp = (l * (l + 1) / (r * r) + rp.profile(np.array([r]))[0] - k * k) * u
+        return [y[2], y[3], upp.real, upp.imag]
+
+    sol = solve_ivp(rhs, (r_max, orc._R_MIN), [u0.real, u0.imag, du0.real, du0.imag],
+                    method="DOP853", rtol=1e-10, atol=1e-40)
+    assert sol.status == 0
+    u = sol.y[0, -1] + 1j * sol.y[1, -1]
+    up = sol.y[2, -1] + 1j * sol.y[3, -1]
+    b = (u * (l + 1) * orc._R_MIN ** l - up * orc._R_MIN ** (l + 1)) / (2 * l + 1)
+    return b * k ** l * np.exp(1j * k * r_max)
+
+
+class TestBatch:
+    # the m5 well and its oracle contour |k| <= (sqrt(2) 54.5)^{1/2}, Im k >= 5e-3
+    M5 = pot.bump_potential(-54.5, 1.0)
+    KMAX = math.sqrt(math.sqrt(2.0) * 54.5)
+
+    def _ks(self):
+        rim = [self.KMAX * np.exp(1j * t)
+               for t in (math.asin(5e-3 / self.KMAX), 1.0, math.pi / 2, 2.5)]
+        axis = [1e-3 + 0.5j, 0.01 + 3.0j, 1e-3 + 1.01j * KAPPA_BUMP1_G53[1]]
+        return np.array(rim + axis + [-self.KMAX + 5e-3j + 1.0, 2.0 + 0.3j])
+
+    def test_array_equals_scalar_calls(self):
+        ks = self._ks()
+        for l in (0, 2):
+            rp = _jost_channel(self.M5, l)
+            batch = orc.jost_like_value(rp, ks.reshape(3, 3))
+            assert batch.shape == (3, 3)
+            one = np.array([orc.jost_like_value(rp, k) for k in ks])
+            assert np.max(np.abs(batch.ravel() - one) / np.abs(one)) < 1e-12
+
+    def test_agrees_with_solve_ivp(self):
+        ks = self._ks()
+        for l in range(4):
+            rp = _jost_channel(self.M5, l)
+            got = orc.jost_like_value(rp, ks)
+            ref = np.array([_solve_ivp_jost(rp, k) for k in ks])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-7, l
+        # next to the frozen s state of the radius-3 well, where |f| is small
+        rp = _jost_channel(pot.bump_potential(-1.0, 3.0), 0)
+        ks = np.array([1.01j, 0.99j, 1e-3 + 1.0j]) * KAPPA_BUMP3_G1
+        got = orc.jost_like_value(rp, ks)
+        ref = np.array([_solve_ivp_jost(rp, k) for k in ks])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-7
+
+    def test_guards_name_the_k(self):
+        rp = _jost_channel(self.M5, 0)
+        with pytest.raises(NonpositiveImK, match="k=-1"):
+            orc.jost_like_value(rp, np.array([1j, -1.0 - 0.5j]))
+        with pytest.raises(StiffIntegration, match="k=0"):
+            orc.jost_like_value(rp, np.array([1j, 1000j]))
+
+    def test_family_profile_matches_value_fn(self):
+        p = pot.screened_coulomb_potential(-37.0, 1.0, 0.25, 0.05, center=(0.2, 0.0, 0.0))
+        r = np.linspace(0.0, 6.0, 50)
+        along = p.value_fn(np.asarray(p.center) + r[:, None] * np.array([1.0, 0.0, 0.0]))
+        assert orc._radial_profile(p) is p.radial_profile
+        assert np.allclose(orc._radial_profile(p)(r), along, rtol=1e-14, atol=0.0)
 
 
 class TestCounting:

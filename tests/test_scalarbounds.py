@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import lambertw
@@ -9,7 +10,7 @@ from scipy.special import lambertw
 from eigenbound import potentials as pot
 from eigenbound import scalarbounds as sb
 from eigenbound.errors import (DegenerateK, InadmissibleT, ModeMismatch,
-                               NegativeLogArgument, WrongDecayClass)
+                               NegativeLogArgument, NonConvergent, WrongDecayClass)
 
 # frozen oracle values (50-digit partial sums with interval tail bounds)
 F_HALF = 1.9211099466577954
@@ -331,6 +332,28 @@ class TestTheorem2:
             assert rep.log_radius_R == pytest.approx(
                 2.0 * (math.log(ct * 111.48) + 0.5 * ct * 111.48), rel=1e-15)
             assert 700.0 < rep.log_radius_R < rep.log_T < rep.log_n_bound < 1e4
+
+    def test_extended_h_eps_past_doubles(self):
+        # Theorem 2 on the m2 functionals needs h_eps at T = e^864.6
+        fn = pot.PotentialFunctionals(111.48, 304.54, 35.195, 71.673, None,
+                                      269.98, 35.195, 458.0, 0.0, 0.5,
+                                      "exponential")
+        ln_T = sb.n_bound_theorem2(fn, sb.lemma2_constant(fn),
+                                   sb.BoundParameters(eps=0.5)).log_T
+        t = sb.mp_h_eps(0.5, mp.exp(ln_T))
+        assert abs(mp.log(t) + 0.5 * t - ln_T) < 1e-40
+        assert float(t) == pytest.approx(sb._h_eps_log(0.5, ln_T), rel=1e-12)
+        for eps, s in ((0.5, 3.0), (2.0, 1e-8), (1.0, 1e-300)):
+            assert float(sb.mp_h_eps(eps, s)) == pytest.approx(sb.h_eps(eps, s), rel=1e-11)
+
+    def test_extended_term_limit_is_typed(self):
+        # q = AB/2 pi eps = 5131 needs about e q^2 = 7e7 terms of f
+        fn = pot.PotentialFunctionals(111.48, 304.54, 35.195, 71.673, None,
+                                      269.98, 35.195, 458.0, 0.0, 0.5,
+                                      "exponential")
+        with pytest.raises(NonConvergent, match="terms"):
+            sb.n_bound_theorem2(fn, sb.lemma2_constant(fn), sb.BoundParameters(eps=0.5),
+                                precision="extended")
 
     def test_corollary2_extended(self, mollified_exp_functionals):
         fn = mollified_exp_functionals

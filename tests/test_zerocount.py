@@ -7,7 +7,41 @@ import pytest
 
 from eigenbound import potentials as pot
 from eigenbound import zerocount as zc
-from eigenbound.errors import CenterIsZero, ZeroOnContour
+from eigenbound.errors import CenterIsZero, NonConvergent, ZeroOnContour
+
+
+def _depth_first_phase(fn, gamma, n0, limit):
+    """The tracker's arc test applied depth first, one arc at a time in t order."""
+    ts = list(np.linspace(0.0, 1.0, n0 + 1))
+    vals = [complex(fn(gamma(t))) for t in ts]
+    total, i, depth = 0.0, 0, {}
+    while i < len(ts) - 1:
+        v0, v1 = vals[i], vals[i + 1]
+        tm = 0.5 * (ts[i] + ts[i + 1])
+        vm = complex(fn(gamma(tm)))
+        d1, d2 = np.angle(vm / v0), np.angle(v1 / vm)
+        if abs(d1) < 0.5 * math.pi and abs(d2) < 0.5 * math.pi and \
+                zc._sampled_enough(v0, vm, v1):
+            total += d1 + d2
+            i += 1
+            continue
+        d = depth.get(ts[i], 0)
+        assert d < limit
+        ts.insert(i + 1, tm)
+        vals.insert(i + 1, vm)
+        depth[ts[i]] = depth[tm] = d + 1
+    return total
+
+
+def _rectangle(box):
+    x0, x1, y0, y1 = box
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+
+    def gamma(t):
+        s = (t % 1.0) * 4.0
+        j = min(int(s), 3)
+        return corners[j] + (s - j) * (corners[(j + 1) % 4] - corners[j])
+    return gamma
 
 
 class TestWinding:
@@ -61,6 +95,39 @@ class TestWinding:
         f = lambda k: (k - (0.003 + 3.778j)) * (k - (0.003 + 3.780j))
         assert zc._winding_box(f, (0.0, 0.35, 0.125, 4.285), 10, 14) == 2
         assert zc._winding_box(f, (-0.356, 0.0, 0.125, 4.285), 10, 14) == 0
+
+    def test_breadth_first_probes_each_point_once(self):
+        # the sweeps probe exactly the points the depth-first loop probes,
+        # each once, and sum the same phase steps in the same order
+        f = lambda k: (k - (0.003 + 3.778j)) * (k - (0.003 + 3.780j))
+        for box, w in (((0.0, 0.35, 0.125, 4.285), 2), ((-0.356, 0.0, 0.125, 4.285), 0)):
+            calls, ref_calls = [], []
+            gamma = _rectangle(box)
+            total, _ = zc._phase_track(lambda k: calls.append(k) or f(k), gamma, 40, 14)
+            ref = _depth_first_phase(lambda k: ref_calls.append(k) or f(k), gamma, 40, 14)
+            assert len(calls) == len(set(calls)) == len(set(ref_calls))
+            assert set(calls) == set(ref_calls)
+            assert total == ref
+            assert round(total / (2.0 * math.pi)) == w
+
+    def test_batched_memo_calls_fn_once_per_sweep(self):
+        batches = []
+        fn = zc._Memo(lambda ks: batches.append(len(ks)) or ks - 0.5j, batched=True)
+        c = zc.ContourSpec(center=0j, radius=1.0, n_samples_initial=16)
+        assert zc.winding_number(fn, c) == 1
+        assert batches[:2] == [17, 16]       # the initial samples, then every midpoint
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0)])
+    def test_non_finite_sample_fails_fast(self, bad):
+        calls = []
+
+        def f(k):
+            calls.append(k)
+            return bad if k.real > 0.5 else k - 0.1j
+        c = zc.ContourSpec(center=0j, radius=1.0, n_samples_initial=16)
+        with pytest.raises(NonConvergent, match="non-finite value .* at contour sample k=1"):
+            zc.winding_number(f, c)
+        assert len(calls) == 17             # the initial samples only: no arc was refined
 
 
 class TestJensen:
