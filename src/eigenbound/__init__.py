@@ -16,10 +16,8 @@ from .scalarbounds import (BoundParameters, BoundReport, f_inverse, f_series,
 from .kernel import (EllipsoidSpec, SpectralPoint, exponential_grad_majorant,
                      free_resolvent_kernel, hs_identity_check, iterated_kernel,
                      proposition_bound)
-from .fredholm import (BSAssembler, DeterminantEvaluator, DeterminantValue,
-                       NystromSystem, assemble_bs_matrix, build_grid,
-                       determinant, determinant_bound_check, determinant_minus,
-                       determinant_plus, fredholm_series_term)
+from .fredholm import (BSAssembler, DeterminantEvaluator, build_grid,
+                       determinant_bound_check, fredholm_series_term)
 from .zerocount import (ContourSpec, ZeroCountResult, ZeroLocation,
                         empirical_vs_bound, jensen_bound, jensen_chain,
                         locate_zeros, winding_number)

@@ -63,7 +63,7 @@ class NonpositiveImK(EigenboundError):
 
 
 class ContinuationOutOfStrip(EigenboundError):
-    """k lies below the continuation strip Im k > -eps/4, or continuation disabled."""
+    """k = 0, below the continuation strip Im k > -eps/4, or where the kernel leaves the double range."""
 
 
 class TooManyTerms(EigenboundError):

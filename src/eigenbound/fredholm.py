@@ -1,42 +1,32 @@
 """Nystrom discretization of the Birman-Schwinger operator and its determinant.
 
-The operator R_0(lambda) V on the truncation ball is discretized on a
-spherical product grid; entry (i,j) is e^{ik|x_i-x_j|}/(4 pi |x_i-x_j|)
-V(x_j) w_j off the diagonal, and the diagonal uses the analytic average
-of the free kernel over the volume-equivalent sphere of the node's cell.
-D(k) = det(I - A^2) is evaluated as det(I - A) det(I + A) through two
-pivoted LU factorizations in log-magnitude + phase form, which survives
-the huge dynamic range met on continuation contours.
+The operator R_0(lambda) V on the determinant ball (determinant_ball_radius)
+is discretized on a spherical product grid; entry (i,j) is
+e^{ik|x_i-x_j|}/(4 pi |x_i-x_j|) V(x_j) w_j off the stencils, and each
+row's nearest nodes carry a local moment correction against the closed-form
+ball integrals of the free kernel.  D(k) = det(I - A^2) is evaluated as
+det(I - A) det(I + A) through two pivoted LU factorizations in
+log-magnitude + phase form, which survives the huge dynamic range met on
+continuation contours.
 
-Assembly at fixed grid and potential is k-independent apart from one
-exponential, so BSAssembler precomputes the distance matrix once;
-determinant evaluations at distinct k are then independent and safe to
-run in parallel.
+DeterminantEvaluator is the one way to a determinant: it memoizes the
+(phase, log|det|) factors per k and sign.  BSAssembler precomputes the
+k-independent geometry once, so assemblies at distinct k are independent
+and safe to run in parallel.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import grids
 from .errors import ContinuationOutOfStrip, NonConvergent, TooManyTerms
-from .kernel import SpectralPoint, iterated_kernel
+from .kernel import iterated_kernel
 from .potentials import Potential, QuadratureSpec
 
 DEFAULT_GRID = (12, 38)   # 456 nodes
-
-
-def build_grid(p: Potential, n_radial: int = DEFAULT_GRID[0],
-               n_angular: int = DEFAULT_GRID[1], radius: float | None = None):
-    """Spherical product rule over the potential's truncation ball."""
-    r = p.truncation_radius if radius is None else radius
-    return grids.ball_rule(r, n_radial, n_angular, p.center)
 
 
 def determinant_ball_radius(p: Potential) -> float:
@@ -53,48 +43,10 @@ def determinant_ball_radius(p: Potential) -> float:
     return min(p.truncation_radius, math.log(1e7) / p.decay_class.eps + 1.0)
 
 
-@dataclass(frozen=True)
-class NystromSystem:
-    nodes: np.ndarray
-    weights: np.ndarray
-    bs_matrix: np.ndarray
-    k: SpectralPoint
-    diag_correction: np.ndarray
-
-    @property
-    def size(self):
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class DeterminantValue:
-    value: complex
-    log_abs: float
-    phase: float
-    resolution: int
-    error_estimate: Optional[float] = None
-    singular: bool = False
-
-
-def _diag_average_integral(k: complex, rho):
-    """int_0^rho r e^{ikr} dr, elementwise over rho; series branch for small |k|rho."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.empty(rho.shape, dtype=complex)
-    z = k * rho
-    small = np.abs(z) < 0.5
-    if np.any(small):
-        zz = 1j * z[small]
-        term = np.ones_like(zz)
-        acc = np.full_like(zz, 0.5)
-        for m in range(1, 18):
-            term = term * zz / m
-            acc += term / (m + 2)
-        out[small] = rho[small] ** 2 * acc
-    if np.any(~small):
-        zb = z[~small]
-        rb = rho[~small]
-        out[~small] = np.exp(1j * zb) * (rb / (1j * k) + 1.0 / k ** 2) - 1.0 / k ** 2
-    return out
+def build_grid(p: Potential, n_radial: int = DEFAULT_GRID[0],
+               n_angular: int = DEFAULT_GRID[1]):
+    """Spherical product rule over the potential's determinant ball."""
+    return grids.ball_rule(determinant_ball_radius(p), n_radial, n_angular, p.center)
 
 
 def _e_sin_cos(x):
@@ -225,7 +177,7 @@ def ball_helmholtz_dipole(k: complex, rho, radius: float):
     return 1j / k ** 3 * (p1 + _e_j1(y) * delta_ah)
 
 
-def _check_strip(k: complex, p: Potential, continuation: bool, radius: float):
+def _check_strip(k: complex, p: Potential, radius: float):
     """Admit k where the continued kernel is defined and its entries are doubles.
 
     Below the real axis the kernel grows like e^{-Im k |x-y|}; across a
@@ -236,9 +188,6 @@ def _check_strip(k: complex, p: Potential, continuation: bool, radius: float):
         raise ContinuationOutOfStrip("assembly requires k != 0")
     if k.imag > 0:
         return
-    if not continuation:
-        raise ContinuationOutOfStrip(
-            f"Im k = {k.imag:.6g} <= 0 requires continuation=True")
     if not p.is_compact and k.imag <= -p.decay_class.eps / 4.0:
         raise ContinuationOutOfStrip(
             f"Im k = {k.imag:.6g} below the strip -eps/4 = {-p.decay_class.eps / 4.0:.6g}")
@@ -251,35 +200,25 @@ def _check_strip(k: complex, p: Potential, continuation: bool, radius: float):
 class BSAssembler:
     """Precomputed geometry for fast repeated assembly at many k.
 
-    diagonal="moments" (default) is a locally corrected rule: for each
-    row the weights of the nearest nodes are adjusted (minimum-norm) so
-    that the row integrates const and linear functions times the kernel
-    exactly, using the closed-form monopole/dipole ball moments.  This
-    removes the dominant near-singularity quadrature error.
-    diagonal="subtract" enforces only the constant moment through the
-    diagonal entry; diagonal="cell_average" is the plain
-    volume-equivalent-sphere kernel average (slowest; kept selectable).
+    The rule is locally corrected: for each row the weights of the
+    nearest nodes are adjusted (minimum-norm) so that the row integrates
+    const and linear functions times the kernel exactly, using the
+    closed-form monopole/dipole ball moments.  This removes the dominant
+    near-singularity quadrature error.
     """
 
     N_NEIGHBORS = 14
 
-    def __init__(self, p: Potential, nodes=None, weights=None,
-                 diagonal: str = "moments", ball_radius: float | None = None):
-        if nodes is None:
-            nodes, weights = build_grid(p)
-        if diagonal not in ("moments", "subtract", "cell_average"):
-            raise ValueError(f"unknown diagonal scheme {diagonal!r}")
+    def __init__(self, p: Potential, nodes, weights):
         self.potential = p
-        self.diagonal = diagonal
-        self.ball_radius = p.truncation_radius if ball_radius is None else ball_radius
+        self.ball_radius = determinant_ball_radius(p)
         self.nodes = np.asarray(nodes)
         self.weights = np.asarray(weights)
         d = self.nodes[:, None, :] - self.nodes[None, :, :]
         self.dist = np.sqrt(np.sum(d * d, axis=-1))
         np.fill_diagonal(self.dist, 1.0)          # placeholder; diagonal is replaced
-        self.vw = p.value_fn(self.nodes) * self.weights
         self.vvals = p.value_fn(self.nodes)
-        self.cell_rho = np.cbrt(3.0 * self.weights / (4.0 * np.pi))
+        self.vw = self.vvals * self.weights
         center = np.asarray(p.center, dtype=float)
         self.node_rho = np.linalg.norm(self.nodes - center[None, :], axis=1)
         with np.errstate(invalid="ignore"):
@@ -288,8 +227,7 @@ class BSAssembler:
                                      np.where(self.node_rho[:, None] == 0, 1.0,
                                               self.node_rho[:, None]),
                                      0.0)
-        if diagonal == "moments":
-            self._prepare_moment_stencils()
+        self._prepare_moment_stencils()
 
     def _prepare_moment_stencils(self):
         """Per-row neighbor sets and pseudo-inverses of the moment matrices.
@@ -339,107 +277,58 @@ class BSAssembler:
             return count
         return 0
 
-    def matrix(self, k: complex, continuation: bool = False):
-        _check_strip(complex(k), self.potential, continuation, self.ball_radius)
+    def matrix(self, k: complex):
+        """The Nystrom matrix A(k) of R_0(k^2) V on this grid."""
+        _check_strip(complex(k), self.potential, self.ball_radius)
         kern = np.exp(1j * k * self.dist) / (4.0 * np.pi * self.dist)
         np.fill_diagonal(kern, 0.0)
         a = kern * self.vw[None, :]
-        radius = self.ball_radius
-        if self.diagonal == "moments":
-            s = ball_helmholtz_potential(k, self.node_rho, radius)
-            dip = ball_helmholtz_dipole(k, self.node_rho, radius)
-            kw = kern * self.weights[None, :]
-            raw0 = kw.sum(axis=1)
-            raw1 = kw @ self.nodes - raw0[:, None] * self.nodes
-            exact1 = self.node_hat * (dip - self.node_rho * s)[:, None]
-            defect = np.empty((len(s), 4), dtype=complex)
-            defect[:, 0] = s - raw0
-            defect[:, 1:] = (exact1 - raw1) / self.mom_scale[:, None]
-            delta = np.einsum("nmf,nf->nm", self.mom_pinv, defect)
-            rows = np.repeat(np.arange(len(s)), self.nbr.shape[1])
-            cols = self.nbr.ravel()
-            # each row's stencil columns are distinct, so a plain fancy-index
-            # add updates every (row, col) pair once
-            a[rows, cols] += (delta * self.vvals[self.nbr]).ravel()
-            diag = np.diagonal(a).copy()
-        elif self.diagonal == "subtract":
-            s = ball_helmholtz_potential(k, self.node_rho, radius)
-            diag = (s - kern @ self.weights) * self.vvals
-            np.fill_diagonal(a, diag)
-        else:
-            diag = _diag_average_integral(k, self.cell_rho) * self.vvals
-            np.fill_diagonal(a, diag)
-        return a, diag
-
-    def system(self, k: complex, continuation: bool = False) -> NystromSystem:
-        a, diag = self.matrix(k, continuation)
-        return NystromSystem(self.nodes, self.weights, a,
-                             SpectralPoint.from_k(k), diag)
-
-
-def assemble_bs_matrix(grid, k: complex, p: Potential,
-                       continuation: bool = False,
-                       diagonal: str = "moments") -> NystromSystem:
-    """Discretize R_0(k^2) V on the given (nodes, weights) grid."""
-    nodes, weights = grid
-    return BSAssembler(p, nodes, weights, diagonal).system(k, continuation)
+        s = ball_helmholtz_potential(k, self.node_rho, self.ball_radius)
+        dip = ball_helmholtz_dipole(k, self.node_rho, self.ball_radius)
+        kw = kern * self.weights[None, :]
+        raw0 = kw.sum(axis=1)
+        raw1 = kw @ self.nodes - raw0[:, None] * self.nodes
+        exact1 = self.node_hat * (dip - self.node_rho * s)[:, None]
+        defect = np.empty((len(s), 4), dtype=complex)
+        defect[:, 0] = s - raw0
+        defect[:, 1:] = (exact1 - raw1) / self.mom_scale[:, None]
+        delta = np.einsum("nmf,nf->nm", self.mom_pinv, defect)
+        rows = np.repeat(np.arange(len(s)), self.nbr.shape[1])
+        cols = self.nbr.ravel()
+        # each row's stencil columns are distinct, so a plain fancy-index
+        # add updates every (row, col) pair once
+        a[rows, cols] += (delta * self.vvals[self.nbr]).ravel()
+        return a
 
 
 def _slogdet_shifted(a, sign):
     """(phase, log|det|) of I + sign*A."""
-    m = np.eye(len(a)) + sign * a
-    s, logdet = np.linalg.slogdet(m)
-    return s, logdet
+    return np.linalg.slogdet(np.eye(len(a)) + sign * a)
 
 
 def _to_value(s, log_abs):
     if s == 0:
-        return 0.0j, -math.inf, 0.0, True
+        return 0.0j
     if log_abs > 700.0:
-        return complex(s) * math.inf, log_abs, float(np.angle(s)), False
-    return complex(s) * math.exp(log_abs), log_abs, float(np.angle(s)), False
-
-
-def determinant(sys: NystromSystem) -> DeterminantValue:
-    """D(k) = det(I - A^2), evaluated as det(I - A) * det(I + A)."""
-    sm, lm = _slogdet_shifted(sys.bs_matrix, -1.0)
-    sp, lp = _slogdet_shifted(sys.bs_matrix, +1.0)
-    value, log_abs, phase, singular = _to_value(sm * sp, lm + lp)
-    return DeterminantValue(value, log_abs, phase, sys.size, singular=singular)
-
-
-def determinant_plus(sys: NystromSystem) -> DeterminantValue:
-    """det(I + A): vanishes exactly at discrete eigenvalues of -Delta + V."""
-    sp, lp = _slogdet_shifted(sys.bs_matrix, +1.0)
-    value, log_abs, phase, singular = _to_value(sp, lp)
-    return DeterminantValue(value, log_abs, phase, sys.size, singular=singular)
-
-
-def determinant_minus(sys: NystromSystem) -> DeterminantValue:
-    """det(I - A): vanishes exactly at discrete eigenvalues of -Delta - V."""
-    sm, lm = _slogdet_shifted(sys.bs_matrix, -1.0)
-    value, log_abs, phase, singular = _to_value(sm, lm)
-    return DeterminantValue(value, log_abs, phase, sys.size, singular=singular)
+        return complex(s) * math.inf
+    return complex(s) * math.exp(log_abs)
 
 
 class DeterminantEvaluator:
     """Callable determinant family over k with per-point memoization.
 
-    The grid ball defaults to determinant_ball_radius(p), which matters
-    for long-tailed potentials whose full truncation ball would starve
-    the core of nodes.
+    The grid covers determinant_ball_radius(p), which matters for
+    long-tailed potentials whose full truncation ball would starve the
+    core of nodes.  Only k in the upper half plane or in the continuation
+    strip (see _check_strip) are admitted.
     """
 
     def __init__(self, p: Potential, n_radial: int = DEFAULT_GRID[0],
-                 n_angular: int = DEFAULT_GRID[1], continuation: bool = True,
-                 ball_radius: float | None = None):
-        radius = determinant_ball_radius(p) if ball_radius is None else ball_radius
-        nodes, weights = build_grid(p, n_radial, n_angular, radius)
-        self.assembler = BSAssembler(p, nodes, weights, ball_radius=radius)
-        self.continuation = continuation
+                 n_angular: int = DEFAULT_GRID[1]):
+        self.assembler = BSAssembler(p, *build_grid(p, n_radial, n_angular))
         self._cache = {}
 
-    def _factors(self, k: complex, signs):
+    def factors(self, k: complex, signs):
         """(phase, log|det|) of I + sign*A per requested sign, lazily.
 
         One factorization per sign; the assembled matrix is never retained
@@ -450,40 +339,29 @@ class DeterminantEvaluator:
         entry = self._cache.setdefault(k, {})
         missing = [s for s in signs if s not in entry]
         if missing:
-            a, _ = self.assembler.matrix(k, self.continuation)
+            a = self.assembler.matrix(k)
             for s in missing:
                 entry[s] = _slogdet_shifted(a, s)
         return [entry[s] for s in signs]
 
     def det_value(self, k):
-        (sm, lm), (sp, lp) = self._factors(k, (-1.0, +1.0))
-        return _to_value(sm * sp, lm + lp)[0]
+        """D(k) = det(I - A) det(I + A) = det(I - A^2)."""
+        (sm, lm), (sp, lp) = self.factors(k, (-1.0, +1.0))
+        return _to_value(sm * sp, lm + lp)
 
     def det_plus(self, k):
-        ((sp, lp),) = self._factors(k, (+1.0,))
-        return _to_value(sp, lp)[0]
+        """det(I + A): vanishes exactly at discrete eigenvalues of -Delta + V."""
+        ((sp, lp),) = self.factors(k, (+1.0,))
+        return _to_value(sp, lp)
 
     def det_minus(self, k):
-        ((sm, lm),) = self._factors(k, (-1.0,))
-        return _to_value(sm, lm)[0]
+        """det(I - A): vanishes exactly at discrete eigenvalues of -Delta - V."""
+        ((sm, lm),) = self.factors(k, (-1.0,))
+        return _to_value(sm, lm)
 
     def log_abs_det(self, k):
-        (sm, lm), (sp, lp) = self._factors(k, (-1.0, +1.0))
+        (sm, lm), (sp, lp) = self.factors(k, (-1.0, +1.0))
         return lm + lp
-
-
-def refine_determinant(p: Potential, k: complex, n_radial: int = DEFAULT_GRID[0],
-                       n_angular: int = DEFAULT_GRID[1],
-                       continuation: bool = True) -> DeterminantValue:
-    """Determinant with a Richardson-style error estimate from two resolutions."""
-    coarse = determinant(assemble_bs_matrix(build_grid(p, n_radial, n_angular),
-                                            k, p, continuation))
-    fine = determinant(assemble_bs_matrix(build_grid(p, n_radial + n_radial // 2,
-                                                     n_angular), k, p, continuation))
-    err = abs(coarse.value - fine.value) / max(abs(fine.value), 1e-300)
-    return DeterminantValue(coarse.value, coarse.log_abs, coarse.phase,
-                            coarse.resolution, error_estimate=err,
-                            singular=coarse.singular)
 
 
 def fredholm_series_term(nterm: int, k: complex, p: Potential,
@@ -508,7 +386,7 @@ def fredholm_series_term(nterm: int, k: complex, p: Potential,
     if route == "matrix":
         if grid is None:
             grid = build_grid(p)
-        a = assemble_bs_matrix(grid, k, p, continuation=True).bs_matrix
+        a = BSAssembler(p, *grid).matrix(k)
         b = a @ a
     elif route == "independent":
         quad = quad or QuadratureSpec(n_radial=24, n_angular=16)
@@ -539,9 +417,7 @@ def fredholm_series_term(nterm: int, k: complex, p: Potential,
     return -complex((t1 ** 3 - 3.0 * t1 * t2 + 2.0 * t3) / 6.0)
 
 
-def determinant_bound_check(k: complex, p: Potential, eps: float, fn,
-                            n_radial: int = DEFAULT_GRID[0],
-                            n_angular: int = DEFAULT_GRID[1]):
+def determinant_bound_check(ev: DeterminantEvaluator, k: complex, eps: float, fn):
     """(|D(k)|, f(AB/2 pi eps)): the continuation bound at one k in the strip.
 
     A NaN |D(k)| raises NonConvergent; it is never compared with the bound.
@@ -550,52 +426,9 @@ def determinant_bound_check(k: complex, p: Potential, eps: float, fn,
     if complex(k).imag <= -eps / 4.0:
         raise ContinuationOutOfStrip(
             f"Im k = {complex(k).imag:.6g} at or below -eps/4 = {-eps / 4.0:.6g}")
-    sys = assemble_bs_matrix(build_grid(p, n_radial, n_angular), k, p,
-                             continuation=True)
-    d = determinant(sys)
-    if math.isnan(d.log_abs):
+    log_abs = ev.log_abs_det(k)
+    if math.isnan(log_abs):
         raise NonConvergent(f"|D(k)| is NaN at k = {complex(k):.6g}")
-    abs_d = math.exp(d.log_abs) if d.log_abs < 700.0 else math.inf
+    abs_d = math.exp(log_abs) if log_abs < 700.0 else math.inf
     bound = f_series(fn.weighted_sup * fn.weighted_l1 / (2.0 * math.pi * eps))
     return abs_d, bound
-
-
-# ---------------------------------------------------------------------------
-# binary matrix cache (versioned little-endian layout)
-
-_MAGIC = b"EBNYSTR1"
-_VERSION = 1
-
-
-def save_matrix(path, sys: NystromSystem):
-    """magic, u32 version, u64 dim, f64 re(k), f64 im(k), then re/im f64 entries."""
-    a = sys.bs_matrix
-    n = a.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQdd", _VERSION, n, sys.k.k.real, sys.k.k.imag))
-        inter = np.empty(2 * n * n)
-        inter[0::2] = a.real.ravel()
-        inter[1::2] = a.imag.ravel()
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def load_matrix(path):
-    """Returns (matrix, k) from a file written by save_matrix."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"bad cache magic {magic!r}")
-        version, n, kre, kim = struct.unpack("<IQdd", fh.read(struct.calcsize("<IQdd")))
-        if version != _VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        inter = np.frombuffer(fh.read(16 * n * n), dtype="<f8")
-    a = (inter[0::2] + 1j * inter[1::2]).reshape(n, n)
-    return a, complex(kre, kim)
-
-
-def cache_key(p: Potential, n_radial: int, n_angular: int, k: complex) -> str:
-    """Stable hash for naming cached matrices."""
-    spec = repr((p.family, sorted(p.params.items()), p.center, p.truncation_radius,
-                 n_radial, n_angular, round(k.real, 12), round(k.imag, 12)))
-    return hashlib.sha256(spec.encode()).hexdigest()[:24]

@@ -241,11 +241,15 @@ def max_r2_potential(p: Potential, n: int = 4000) -> float:
 
 
 def ode_range(p: Potential) -> float:
-    """Integration start radius: past the support, or where the declared
+    """Integration start radius: the support edge, or where the declared
     envelope has dropped nine decades (zero shifts of that size cannot
-    flip a count with healthy margins)."""
+    flip a count with healthy margins).
+
+    Past a compact support V = 0 and the outgoing seed is exact, so the
+    integration starts at the edge and no step crosses the potential's
+    non-analytic onset there."""
     if p.is_compact:
-        return p.decay_class.support_radius + 2.0
+        return p.decay_class.support_radius
     dc = p.decay_class
     return min(p.truncation_radius, math.log(1e9) / dc.eps) + 2.0
 

@@ -526,7 +526,7 @@ def default_search_region(p, fn, eps, pad: float = 1.1):
 def empirical_vs_bound(p, eps: float, mode: str,
                        n_radial: int = 12, n_angular: int = 38,
                        region=None, min_box: float = 5e-3,
-                       quad=None, ball_radius=None) -> EmpiricalComparison:
+                       quad=None) -> EmpiricalComparison:
     """Locate determinant zeros and compare the counts with the theorem bound.
 
     Counts zeros of det(I + A) (eigenvalues of -Delta + V), det(I - A)
@@ -547,8 +547,7 @@ def empirical_vs_bound(p, eps: float, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     if region is None:
         region = default_search_region(p, fn, eps)
-    ev = fredholm.DeterminantEvaluator(p, n_radial, n_angular,
-                                       ball_radius=ball_radius)
+    ev = fredholm.DeterminantEvaluator(p, n_radial, n_angular)
     res_plus = locate_zeros(ev.det_plus, region, min_box)
     res_minus = locate_zeros(ev.det_minus, region, min_box)
     n_plus = res_plus.total_multiplicity

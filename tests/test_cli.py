@@ -3,10 +3,12 @@
 import csv
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
-from eigenbound import cli
+from eigenbound import cli, fredholm
 
 
 def _write_config(tmp_path, body):
@@ -158,6 +160,52 @@ class TestScan:
         assert all("refine_rel_err" in r for r in rows)
         assert all(float(r["refine_rel_err"]) < 0.05 for r in rows)
 
+    def test_two_lus_per_admitted_k(self, tmp_path, monkeypatch):
+        # one evaluator shared by more workers than cores, switching often:
+        # det(I - A) and det(I + A) once each per k, none for the points
+        # outside the strip
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append(1) or slogdet(a))
+        cfg = _write_config(tmp_path, {
+            "potential": {"family": "mollified_exponential",
+                          "parameters": {"v0": 0.2, "rate": 1.0}},
+            "eps": 0.5, "grid": "6x14", "tolerances": {"scan_points_per_side": 5}})
+        out = tmp_path / "out"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rc = cli.main(["--config", cfg, "--out", str(out), "--threads", "4",
+                           "--region=-1,1,-0.4,1.0", "scan"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert rc == cli.EXIT_OK
+        rows = list(csv.DictReader(open(out / "scan.csv")))
+        admitted = [r for r in rows if r["abs_D"] != "nan"]
+        assert len(admitted) == 20
+        assert len(calls) == 2 * len(admitted)
+
+    def test_refine_builds_two_assemblers(self, tmp_path, monkeypatch):
+        built = _count_assemblers(monkeypatch)
+        cfg = _write_config(tmp_path, dict(BUMP_CFG, grid="6x14",
+                                           tolerances={"scan_points_per_side": 3}))
+        cli.main(["--config", cfg, "--out", str(tmp_path / "out"), "--refine",
+                  "--region=0.2,1,0.2,1.0", "scan"])
+        assert len(built) == 2
+
+
+def _count_assemblers(monkeypatch):
+    """List that grows by one per BSAssembler constructed."""
+    built = []
+    init = fredholm.BSAssembler.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(fredholm.BSAssembler, "__init__", counting)
+    return built
+
 
 class TestVerify:
     def test_bump_suite_passes(self, tmp_path):
@@ -177,6 +225,30 @@ class TestVerify:
         results = json.loads((out / "verify.json").read_text())
         names = {r["check"] for r in results}
         assert any("lemma2" in n for n in names)
+
+    def test_builds_one_assembler(self, tmp_path, monkeypatch):
+        built = _count_assemblers(monkeypatch)
+        cfg = _write_config(tmp_path, dict(BUMP_CFG, grid="10x26"))
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "out"),
+                         "verify"]) == cli.EXIT_OK
+        assert len(built) == 1
+
+    def test_factorization_check_catches_sign_error(self, tmp_path, monkeypatch):
+        # a sign error in the det(I + A) factor must fail the factorization
+        # check, which compares with a separate factorization of I - A^2
+        shifted = fredholm._slogdet_shifted
+
+        def flipped(a, sign):
+            s, log_abs = shifted(a, sign)
+            return (-s if sign > 0 else s), log_abs
+        monkeypatch.setattr(fredholm, "_slogdet_shifted", flipped)
+        cfg = _write_config(tmp_path, dict(BUMP_CFG, grid="10x26"))
+        out = tmp_path / "out"
+        rc = cli.main(["--config", cfg, "--out", str(out), "verify"])
+        assert rc == cli.EXIT_VIOLATION
+        results = {r["check"]: r["ok"]
+                   for r in json.loads((out / "verify.json").read_text())}
+        assert results["det(I-A^2) = det(I-A)det(I+A)"] is False
 
     def test_fault_injection_fails_named_check(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, dict(BUMP_CFG, grid="10x26"))
