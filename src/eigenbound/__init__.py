@@ -8,12 +8,12 @@ from .potentials import (CompactSupport, ExponentialDecay, Potential,
                          screened_coulomb_potential, tabulated_potential,
                          validate_decay_hypothesis, zero_potential)
 from .scalarbounds import (BoundParameters, BoundReport, f_inverse, f_series,
-                           g_eps, h_eps, hadamard_deviation_bound,
+                           count_bounds, g_eps, h_eps, hadamard_deviation_bound,
                            lemma1_constant, lemma1_kernel_bound,
                            lemma2_constant, lemma2_kernel_bound, log_f_series,
                            n_bound_corollary1, n_bound_corollary2,
                            n_bound_theorem1, n_bound_theorem2, radius_bound)
-from .kernel import (EllipsoidSpec, SpectralPoint, exponential_grad_majorant,
+from .kernel import (EllipsoidSpec, exponential_grad_majorant,
                      free_resolvent_kernel, hs_identity_check, iterated_kernel,
                      proposition_bound)
 from .fredholm import (BSAssembler, DeterminantEvaluator, build_grid,

@@ -7,6 +7,13 @@ Subcommands
     verify          run the inequality suite; nonzero exit on violation
     compare-oracle  radial oracle count vs 3-D pipeline vs bound
 
+The config's mode is "auto" or the theorem matching the potential's decay
+class (Theorem1 for compact support, Theorem2 for exponential decay);
+scalarbounds.count_bounds makes that choice for bounds, verify, count and
+compare-oracle, and a mismatch exits 2 (scan does not read it).  Each of
+those four commands measures the potential's functionals once, with the
+sampler offset --seed and the tolerance tolerances.quadrature.
+
 Exit codes: 0 ok, 2 invariant violation, 3 config error, 4 numerical
 non-convergence.  EIGENBOUND_PRECISION=extended adds a 50-digit
 cross-check of every closed-form bound to the bounds report.
@@ -47,13 +54,12 @@ class RunConfig:
     refine: bool = False
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    inject_fault: Optional[str] = None
 
     @property
-    def resolved_mode(self):
-        if self.mode != "auto":
-            return self.mode
-        return "Theorem1" if self.potential.is_compact else "Theorem2"
+    def quadrature(self):
+        """The spec of every functional measurement a command makes."""
+        return potentials.QuadratureSpec(seed=self.seed,
+                                         tol=self.tolerances.get("quadrature", 1e-6))
 
 
 def _complex_from_json(v):
@@ -152,37 +158,16 @@ def load_config(args) -> RunConfig:
                      args.out or raw.get("out", "."),
                      args.threads or int(raw.get("threads", 1)),
                      bool(args.refine), args.seed if args.seed is not None
-                     else int(raw.get("seed", 0)), tol,
-                     getattr(args, "inject_fault", None))
+                     else int(raw.get("seed", 0)), tol)
 
 
 def _functionals(cfg: RunConfig):
-    quad = potentials.QuadratureSpec(seed=cfg.seed,
-                                     tol=cfg.tolerances.get("quadrature", 1e-6))
-    return potentials.measure_functionals(cfg.potential, cfg.eps, quad)
-
-
-def _bound_reports(cfg: RunConfig, fn):
-    mode = cfg.resolved_mode
-    params = scalarbounds.BoundParameters(eps=cfg.eps)
-    if mode == "Theorem1":
-        c = scalarbounds.lemma1_constant(fn)
-        if cfg.inject_fault == "lemma1_constant":
-            c *= 1e-3
-        theorem = scalarbounds.n_bound_theorem1(fn, c, params)
-        corollary = scalarbounds.n_bound_corollary1(fn, c, cfg.eps)
-    else:
-        c = scalarbounds.lemma2_constant(fn)
-        if cfg.inject_fault == "lemma2_constant":
-            c *= 1e-3
-        theorem = scalarbounds.n_bound_theorem2(fn, c, params)
-        corollary = scalarbounds.n_bound_corollary2(fn, c, cfg.eps)
-    return mode, c, theorem, corollary
+    return potentials.measure_functionals(cfg.potential, cfg.eps, cfg.quadrature)
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
     fn = _functionals(cfg)
-    mode, c, theorem, corollary = _bound_reports(cfg, fn)
+    mode, c, theorem, corollary = scalarbounds.count_bounds(fn, cfg.mode)
     out = {
         "mode": mode,
         "functionals": {
@@ -198,13 +183,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
         "corollary": corollary.as_dict(),
     }
     if os.environ.get("EIGENBOUND_PRECISION", "double") == "extended":
-        params = scalarbounds.BoundParameters(eps=cfg.eps)
-        if mode == "Theorem1":
-            tx = scalarbounds.n_bound_theorem1(fn, c, params, precision="extended")
-            cx = scalarbounds.n_bound_corollary1(fn, c, cfg.eps, precision="extended")
-        else:
-            tx = scalarbounds.n_bound_theorem2(fn, c, params, precision="extended")
-            cx = scalarbounds.n_bound_corollary2(fn, c, cfg.eps, precision="extended")
+        _, _, tx, cx = scalarbounds.count_bounds(fn, mode, precision="extended")
+
         def rel(a, b):
             return abs(a - b) / max(abs(b), 1e-300)
         out["extended_cross_check"] = {
@@ -243,7 +223,8 @@ def cmd_scan(cfg: RunConfig) -> int:
         if k == 0 or k.imag <= strip_floor:
             return [k.real, k.imag] + [math.nan] * (4 if cfg.refine else 3)
         (sm, lm), (sp, lp) = ev.factors(k, (-1.0, +1.0))
-        row = [k.real, k.imag, _exp(lm + lp), float(np.angle(sm * sp)), _exp(lp)]
+        row = [k.real, k.imag, scalarbounds._exp(lm + lp), float(np.angle(sm * sp)),
+               scalarbounds._exp(lp)]
         if cfg.refine:
             d, d_fine = ev.det_value(k), fine.det_value(k)
             row.append(abs(d - d_fine) / max(abs(d_fine), 1e-300))
@@ -262,34 +243,32 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _exp(log_abs):
-    """e^log_abs, +inf past the double range."""
-    return math.exp(log_abs) if log_abs < 700.0 else math.inf
+def _search(cfg: RunConfig):
+    """The zero search and theorem bound of count and compare-oracle."""
+    return zerocount.empirical_vs_bound(cfg.potential, cfg.eps, cfg.mode,
+                                        cfg.n_radial, cfg.n_angular,
+                                        region=cfg.region, quad=cfg.quadrature)
 
 
 def cmd_count(cfg: RunConfig) -> int:
-    fn = _functionals(cfg)
-    region = cfg.region or zerocount.default_search_region(cfg.potential, fn, cfg.eps)
-    ev = fredholm.DeterminantEvaluator(cfg.potential, cfg.n_radial, cfg.n_angular)
-    res_plus = zerocount.locate_zeros(ev.det_plus, region, 5e-3)
-    res_minus = zerocount.locate_zeros(ev.det_minus, region, 5e-3)
+    comp = _search(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_plus.csv"),
-                              res_plus.zeros)
+                              comp.zeros_plus)
     zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_minus.csv"),
-                              res_minus.zeros)
+                              comp.zeros_minus)
     summary = {
-        "region": list(region),
-        "n_empirical_plus": res_plus.total_multiplicity,
-        "n_empirical_minus": res_minus.total_multiplicity,
-        "n_determinant": res_plus.total_multiplicity + res_minus.total_multiplicity,
-        "zeros_plus": [[z.k.real, z.k.imag, z.multiplicity] for z in res_plus.zeros],
-        "zeros_minus": [[z.k.real, z.k.imag, z.multiplicity] for z in res_minus.zeros],
+        "region": list(comp.region),
+        "n_empirical_plus": comp.n_empirical_plus,
+        "n_empirical_minus": comp.n_empirical_minus,
+        "n_determinant": comp.n_determinant,
+        "zeros_plus": [[z.k.real, z.k.imag, z.multiplicity] for z in comp.zeros_plus],
+        "zeros_minus": [[z.k.real, z.k.imag, z.multiplicity] for z in comp.zeros_minus],
     }
     with open(os.path.join(cfg.out_dir, "count.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
-    print(f"found {summary['n_empirical_plus']} eigenvalues of -Delta+V, "
-          f"{summary['n_empirical_minus']} of -Delta-V in {region}")
+    print(f"found {comp.n_empirical_plus} eigenvalues of -Delta+V, "
+          f"{comp.n_empirical_minus} of -Delta-V in {comp.region}")
     return EXIT_OK
 
 
@@ -305,7 +284,7 @@ def _verify_checks(cfg: RunConfig):
     p = cfg.potential
     eps = cfg.eps
     fn = _functionals(cfg)
-    mode, c, theorem, corollary = _bound_reports(cfg, fn)
+    mode, c, theorem, corollary = scalarbounds.count_bounds(fn, cfg.mode)
     rng = np.random.default_rng(cfg.seed + 7)
 
     # scalar identities
@@ -343,7 +322,7 @@ def _verify_checks(cfg: RunConfig):
     ev = fredholm.DeterminantEvaluator(p, cfg.n_radial, cfg.n_angular)
     a = ev.assembler.matrix(1.7j)
     s, log_abs = np.linalg.slogdet(np.eye(len(a)) - a @ a)
-    direct = complex(s) * _exp(log_abs)
+    direct = complex(s) * scalarbounds._exp(log_abs)
     rel = abs(ev.det_value(1.7j) - direct) / max(abs(direct), 1e-300)
     yield _verdict("det(I-A^2) = det(I-A)det(I+A)", 1e-10 - rel, rel < 1e-10)
 
@@ -364,11 +343,7 @@ def _verify_checks(cfg: RunConfig):
 
     # corollary dominates theorem at the corollary's implied T (which may sit
     # exactly on the strict threshold, hence enforce=False)
-    params_at = scalarbounds.BoundParameters(eps=eps, T=corollary.T_used)
-    if mode == "Theorem1":
-        th_at = scalarbounds.n_bound_theorem1(fn, c, params_at, enforce=False)
-    else:
-        th_at = scalarbounds.n_bound_theorem2(fn, c, params_at, enforce=False)
+    th_at = scalarbounds.count_bounds(fn, mode, T=corollary.T_used, enforce=False)[2]
     ok = corollary.n_bound >= th_at.n_bound * (1 - 1e-9)
     yield _verdict("corollary >= theorem at implied T",
                    corollary.n_bound - th_at.n_bound, ok)
@@ -390,14 +365,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_compare_oracle(cfg: RunConfig) -> int:
-    p = cfg.potential
-    oracle.assert_radial(p)
-    fn = _functionals(cfg)
-    comp = zerocount.empirical_vs_bound(p, cfg.eps, cfg.resolved_mode,
-                                        cfg.n_radial, cfg.n_angular,
-                                        region=cfg.region)
-    lam_r = math.sqrt(2.0) * max(fn.linf_norm, 1e-9)
-    rc = oracle.count_eigenvalues_radial(p, lam_r)
+    oracle.assert_radial(cfg.potential)
+    comp = _search(cfg)
+    lam_r = math.sqrt(2.0) * max(comp.functionals.linf_norm, 1e-9)
+    rc = oracle.count_eigenvalues_radial(cfg.potential, lam_r)
     rows = [("oracle count", rc.total),
             ("N_empirical(V)", comp.n_empirical_plus),
             ("N_empirical(-V)", comp.n_empirical_minus),
@@ -434,7 +405,6 @@ def build_parser():
                     help="add refinement error estimates where supported")
     ap.add_argument("--seed", type=int, default=None,
                     help="offset of the deterministic low-discrepancy sampler")
-    ap.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     ap.add_argument("command", choices=["bounds", "scan", "count", "verify",
                                         "compare-oracle"])
     return ap

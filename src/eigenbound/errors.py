@@ -43,7 +43,7 @@ class InadmissibleT(EigenboundError):
 
 
 class InadmissibleRho(EigenboundError):
-    """Jensen radius rho outside [sqrt(T^2+R), T + eps/4]."""
+    """Jensen radius rho = T + eps/4 not above sqrt(T^2+R)."""
 
 
 class DivergentB(EigenboundError):

@@ -25,6 +25,7 @@ from . import grids
 from .errors import ContinuationOutOfStrip, NonConvergent, TooManyTerms
 from .kernel import iterated_kernel
 from .potentials import Potential, QuadratureSpec
+from .scalarbounds import _exp, f_series
 
 DEFAULT_GRID = (12, 38)   # 456 nodes
 
@@ -307,11 +308,7 @@ def _slogdet_shifted(a, sign):
 
 
 def _to_value(s, log_abs):
-    if s == 0:
-        return 0.0j
-    if log_abs > 700.0:
-        return complex(s) * math.inf
-    return complex(s) * math.exp(log_abs)
+    return 0.0j if s == 0 else complex(s) * _exp(log_abs)
 
 
 class DeterminantEvaluator:
@@ -422,13 +419,12 @@ def determinant_bound_check(ev: DeterminantEvaluator, k: complex, eps: float, fn
 
     A NaN |D(k)| raises NonConvergent; it is never compared with the bound.
     """
-    from .scalarbounds import f_series
     if complex(k).imag <= -eps / 4.0:
         raise ContinuationOutOfStrip(
             f"Im k = {complex(k).imag:.6g} at or below -eps/4 = {-eps / 4.0:.6g}")
     log_abs = ev.log_abs_det(k)
     if math.isnan(log_abs):
         raise NonConvergent(f"|D(k)| is NaN at k = {complex(k):.6g}")
-    abs_d = math.exp(log_abs) if log_abs < 700.0 else math.inf
+    abs_d = _exp(log_abs)
     bound = f_series(fn.weighted_sup * fn.weighted_l1 / (2.0 * math.pi * eps))
     return abs_d, bound

@@ -29,19 +29,6 @@ from .potentials import Potential, QuadratureSpec, _sup_over_ball
 
 
 @dataclass(frozen=True)
-class SpectralPoint:
-    """Momentum k with lambda = k^2; continued marks Im k <= 0."""
-    k: complex
-    lam: complex
-    continued: bool
-
-    @classmethod
-    def from_k(cls, k):
-        k = complex(k)
-        return cls(k, k * k, k.imag <= 0.0)
-
-
-@dataclass(frozen=True)
 class EllipsoidSpec:
     """Prolate spheroid |z-x| + |z-y| = 2r with foci x, y."""
     x: tuple

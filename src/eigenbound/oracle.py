@@ -29,11 +29,16 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import DOP853
 
-from .errors import ChannelTruncationUnsafe, NonpositiveImK, StiffIntegration
+from .errors import (ChannelTruncationUnsafe, NonConvergent, NonpositiveImK,
+                     StiffIntegration)
 from .potentials import Potential
-from .zerocount import _Memo, _phase_track
+from .zerocount import _Memo, _phase_track, _winding
 
 _R_MIN = 1e-6
+# channel counts: the half-disc contour's height above the real axis and
+# its initial arcs
+_MARGIN = 5e-3
+_N0 = 48
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,6 @@ class RadialProblem:
     profile: Callable[[np.ndarray], np.ndarray]   # V(r), vectorized over r
     l: int
     r_max: float
-    lam: Optional[complex] = None
 
 
 def _hankel_poly(l: int, z: complex) -> complex:
@@ -72,7 +76,7 @@ def riccati_hankel_plus(l: int, z: complex) -> complex:
 _A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
-_ATOL = 1e-40
+_RTOL, _ATOL = 1e-10, 1e-40
 
 
 def _sum_sq(z, sc_re, sc_im):
@@ -81,7 +85,7 @@ def _sum_sq(z, sc_re, sc_im):
     return (np.square(z.real / sc_re) + np.square(z.imag / sc_im)).sum(axis=0)
 
 
-def _integrate_inward(rp: RadialProblem, k, y, rtol):
+def _integrate_inward(rp: RadialProblem, k, y):
     """(u, u') at _R_MIN from (u, u') = y, shape (2, m), at r_max, for the m k at once.
 
     Every k keeps its own radius, step size and accept/reject state, as if
@@ -109,7 +113,7 @@ def _integrate_inward(rp: RadialProblem, k, y, rtol):
     # initial step: scipy's select_initial_step, integrating towards smaller r
     f = rhs(r, y)
     span = rp.r_max - _R_MIN
-    sc_re, sc_im = _ATOL + np.abs(y.real) * rtol, _ATOL + np.abs(y.imag) * rtol
+    sc_re, sc_im = _ATOL + np.abs(y.real) * _RTOL, _ATOL + np.abs(y.imag) * _RTOL
     d0 = np.sqrt(_sum_sq(y, sc_re, sc_im) / 4.0)
     d1 = np.sqrt(_sum_sq(f, sc_re, sc_im) / 4.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,8 +145,8 @@ def _integrate_inward(rp: RadialProblem, k, y, rtol):
             K[..., s] = rhs(r + _C[s] * h, y + h * np.dot(K[..., :s], _A[s, :s]))
         y_new = y + h * np.dot(K[..., :n_st], _B)
         f_new = K[..., n_st] = rhs(r + h, y_new)
-        sc_re = _ATOL + np.maximum(np.abs(y.real), np.abs(y_new.real)) * rtol
-        sc_im = _ATOL + np.maximum(np.abs(y.imag), np.abs(y_new.imag)) * rtol
+        sc_re = _ATOL + np.maximum(np.abs(y.real), np.abs(y_new.real)) * _RTOL
+        sc_im = _ATOL + np.maximum(np.abs(y.imag), np.abs(y_new.imag)) * _RTOL
         e5 = _sum_sq(np.dot(K, _E5), sc_re, sc_im)
         e3 = _sum_sq(np.dot(K, _E3), sc_re, sc_im)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,7 +172,7 @@ def _integrate_inward(rp: RadialProblem, k, y, rtol):
     return out
 
 
-def jost_like_value(rp: RadialProblem, k, rtol: float = 1e-10):
+def jost_like_value(rp: RadialProblem, k):
     """k^l times the coefficient of the singular r^{-l} behavior of the
     Jost solution f ~ e^{ikr}, for a scalar k or an array of k (same shape
     out; an array is integrated as one batch).
@@ -198,7 +202,7 @@ def jost_like_value(rp: RadialProblem, k, rtol: float = 1e-10):
     z0 = k * r_max
     u0 = (1j) ** l * _hankel_poly(l, z0)
     du0 = (1j) ** l * k * (_hankel_poly(l - 1, z0) - (l / z0) * _hankel_poly(l, z0))
-    u, up = _integrate_inward(rp, k, np.array(np.broadcast_arrays(u0, du0)), rtol)
+    u, up = _integrate_inward(rp, k, np.array(np.broadcast_arrays(u0, du0)))
     # Wronskian match against the regular solution r^{l+1}
     b = (u * (l + 1) * _R_MIN ** l - up * _R_MIN ** (l + 1)) / (2 * l + 1)
     return (b * k ** l * np.exp(1j * k * r_max)).reshape(shape)[()]
@@ -281,15 +285,15 @@ class RadialCount:
 
 
 def count_eigenvalues_radial(p: Potential, lambda_radius: float,
-                             l_max: Optional[int] = None,
-                             margin: float = 5e-3, rtol: float = 1e-10,
-                             n0: int = 48) -> RadialCount:
+                             l_max: Optional[int] = None) -> RadialCount:
     """Total eigenvalue multiplicity of -Delta + V inside |lambda| <= lambda_radius.
 
     Counts Jost-function zeros per channel by the argument principle over
-    the half-disc |k| <= sqrt(lambda_radius), Im k >= margin, and sums
+    the half-disc |k| <= sqrt(lambda_radius), Im k >= 5e-3, and sums
     with degeneracy 2l+1.  Channels with l(l+1) > sup r^2|V| are skipped:
-    the centrifugal barrier dominates the potential pointwise there.
+    the centrifugal barrier dominates the potential pointwise there.  A
+    channel whose phase change is not within 0.5 rad of a multiple of
+    2 pi raises NonConvergent, as every 3-D winding does.
     """
     assert_radial(p)
     strength = max_r2_potential(p)
@@ -304,15 +308,17 @@ def count_eigenvalues_radial(p: Potential, lambda_radius: float,
     profile = _radial_profile(p)
     r_max = ode_range(p)
     kmax = math.sqrt(lambda_radius)
-    gamma = _half_disc_contour(kmax, margin)
+    gamma = _half_disc_contour(kmax, _MARGIN)
     per_channel = {}
     total = 0
     for l in range(l_top + 1):
         rp = RadialProblem(profile, l, r_max)
-        fl = _Memo(lambda ks: jost_like_value(rp, ks, rtol), batched=True)
-        phase = _phase_track(fl, gamma, n0, 16)[0]
-        count = round(phase / (2.0 * math.pi))
-        per_channel[l] = int(count)
-        total += (2 * l + 1) * int(count)
+        fl = _Memo(lambda ks: jost_like_value(rp, ks), batched=True)
+        try:
+            count = _winding(_phase_track(fl, gamma, _N0, 16)[0])
+        except NonConvergent as exc:
+            raise NonConvergent(f"channel l={l}: {exc}") from None
+        per_channel[l] = count
+        total += (2 * l + 1) * count
     return RadialCount(total, per_channel, l_top,
                        f"channels with l(l+1) > sup r^2|V| = {strength:.4g} skipped")

@@ -67,12 +67,6 @@ class Potential:
     params: dict = field(default_factory=dict)
     radial_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def value(self, pts):
-        return self.value_fn(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    def gradient(self, pts):
-        return self.grad_fn(np.atleast_2d(np.asarray(pts, dtype=float)))
-
     @property
     def is_compact(self):
         return isinstance(self.decay_class, CompactSupport)

@@ -4,7 +4,9 @@ Implements the combinatorial series f(a) = sum_n n^{n/2} a^n / n!, its
 inverse, the weighted-exponential pair g_eps / h_eps, the kernel-bound
 constants for compactly supported and exponentially decaying potentials,
 the discrete-spectral-radius bounds, and the total-multiplicity bounds
-with their corollary closed forms.
+with their corollary closed forms.  count_bounds is the one place that
+chooses between the two results (Lemma/Theorem/Corollary 1 for compact
+support, 2 for exponential decay) from the potential's decay class.
 
 Every bound is evaluated in hardware doubles by default; passing
 precision="extended" reruns the same formula in 50-digit software floats
@@ -264,7 +266,6 @@ def hadamard_deviation_bound(c_l1: float, k: complex) -> float:
 class BoundParameters:
     eps: float
     T: Optional[float] = None
-    rho: Optional[float] = None
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -302,8 +303,8 @@ class BoundReport:
 
 
 def _exp(x: float) -> float:
-    """e^x, +inf past the double range."""
-    return math.exp(x) if x < _LN_DBL_MAX else math.inf
+    """e^x, +inf past the double range (x >= ln DBL_MAX); NaN stays NaN."""
+    return math.inf if x >= _LN_DBL_MAX else math.exp(x)
 
 
 def _log(x: float) -> float:
@@ -370,13 +371,13 @@ def _check_eps(fn: PotentialFunctionals, eps: float):
 
 
 def _theorem_bound(fn, constant, kind, params, enforce, ln_R, ln_t2, t2_text,
-                   hadamard_arg, rho):
+                   hadamard_arg):
     """The form Theorems 1 and 2 share, evaluated in logarithms.
 
     N(V) <= [ln(rho/sqrt(T^2+R))]^{-1} [ln f(AB/2 pi eps) - ln(2 - f(a_T))]
-    for T > max(2R/eps - eps/8, t2) and rho = T + delta in
-    [sqrt(T^2+R), T + eps/4] (delta = eps/4 when rho is None).  The lemma
-    supplies ln t2 and the Hadamard argument a_T = hadamard_arg(T, ln T).
+    for T > max(2R/eps - eps/8, t2) and rho = T + eps/4, which must exceed
+    sqrt(T^2+R).  The lemma supplies ln t2 and the Hadamard argument
+    a_T = hadamard_arg(T, ln T).
     """
     eps = params.eps
     ln_tl = max(_ln_threshold(ln_R, eps), ln_t2)
@@ -388,11 +389,11 @@ def _theorem_bound(fn, constant, kind, params, enforce, ln_R, ln_t2, t2_text,
         raise InadmissibleT(f"T={_fmt(ln_T)} must exceed "
                             f"max(2R/eps - eps/8, {t2_text}) = {_fmt(ln_tl)}")
     T = _exp(ln_T)
-    delta = eps / 4.0 if rho is None else rho - T
+    delta = eps / 4.0
     ln_denom = log_ratio_log(ln_T, ln_R, delta)
-    if enforce and (ln_denom == -math.inf or delta > eps / 4.0 * (1 + 1e-12)):
+    if enforce and ln_denom == -math.inf:
         raise InadmissibleRho(
-            f"rho={T + delta:.6g} outside [sqrt(T^2+R), T+eps/4] for T={_fmt(ln_T)}")
+            f"rho={T + delta:.6g} not above sqrt(T^2+R) for T={_fmt(ln_T)}")
     arg2 = hadamard_arg(T, ln_T)
     floor = 2.0 - f_series(arg2)
     if floor <= 0.0:
@@ -446,8 +447,7 @@ def n_bound_theorem1(fn: PotentialFunctionals, C: float,
     return _theorem_bound(
         fn, C, "C", params, enforce, log_radius_bound(fn, C, "Theorem1"),
         _log(2.0 * cl1) + math.log1p(2.0 * cl1), "2C||V||1(1+2C||V||1)",
-        lambda T, ln_T: 2.0 * cl1 * (math.sqrt(1.0 + 4.0 * T) + 1.0) / (4.0 * T),
-        None)
+        lambda T, ln_T: 2.0 * cl1 * (math.sqrt(1.0 + 4.0 * T) + 1.0) / (4.0 * T))
 
 
 def n_bound_corollary1(fn: PotentialFunctionals, C: float, eps: float,
@@ -477,7 +477,7 @@ def n_bound_theorem2(fn: PotentialFunctionals, Ct: float,
 
     The form of Theorem 1 with R = (C~||V||_1)^2 e^{2 eps C~||V||_1},
     second threshold g_eps(2C~||V||_1) and Hadamard argument
-    C~||V||_1 / h_eps(T); rho may be chosen in [sqrt(T^2+R), T+eps/4].
+    C~||V||_1 / h_eps(T).
     """
     if fn.decay_kind != "exponential":
         raise ModeMismatch("Theorem 2 requires an exponentially decaying potential")
@@ -491,7 +491,7 @@ def n_bound_theorem2(fn: PotentialFunctionals, Ct: float,
     return _theorem_bound(
         fn, Ct, "Ct", params, enforce, log_radius_bound(fn, Ct, "Theorem2", eps),
         _log(2.0 * cl1) + 2.0 * eps * cl1, "g_eps(2C~||V||1)",
-        lambda T, ln_T: cl1 / _h_eps_log(eps, ln_T), params.rho)
+        lambda T, ln_T: cl1 / _h_eps_log(eps, ln_T))
 
 
 def n_bound_corollary2(fn: PotentialFunctionals, Ct: float, eps: float,
@@ -515,6 +515,33 @@ def n_bound_corollary2(fn: PotentialFunctionals, Ct: float, eps: float,
     ln_denom = ln_y if ln_y < -36.0 else math.log(math.log1p(math.exp(ln_y)))
     return _corollary_bound(fn, Ct, "Ct", eps, log_radius_bound(fn, Ct, "Theorem2", eps),
                             ln_T, ln_denom, "eps<=2Ctl1" if low else "eps>=2Ctl1")
+
+
+def count_bounds(fn: PotentialFunctionals, mode: str = "auto",
+                 T: Optional[float] = None, enforce: bool = True,
+                 precision: str = "double"):
+    """(mode, constant, theorem report, corollary report) at eps = fn.eps.
+
+    The decay class chooses the theorem: Lemma 1, Theorem 1 and
+    Corollary 1 for a compactly supported potential, Lemma 2, Theorem 2
+    and Corollary 2 for an exponentially decaying one.  mode "auto" takes
+    that choice; a named mode must agree with it (ModeMismatch).  T and
+    enforce apply to the theorem; the corollary sets its own T.
+    """
+    fits = "Theorem1" if fn.decay_kind == "compact" else "Theorem2"
+    if mode not in ("auto", "Theorem1", "Theorem2"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("auto", fits):
+        raise ModeMismatch(f"{mode} does not apply to a potential with "
+                           f"{fn.decay_kind} decay; {fits} does")
+    params = BoundParameters(eps=fn.eps, T=T)
+    if fits == "Theorem1":
+        c = lemma1_constant(fn)
+        return (fits, c, n_bound_theorem1(fn, c, params, enforce, precision),
+                n_bound_corollary1(fn, c, fn.eps, precision))
+    c = lemma2_constant(fn)
+    return (fits, c, n_bound_theorem2(fn, c, params, enforce, precision),
+            n_bound_corollary2(fn, c, fn.eps, precision))
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +655,9 @@ def _n_bound_theorem2_mp(fn, Ct, params, enforce):
             (mp.mpf("1.01") * t_lower if t_lower > 0 else eps)
         if enforce and T <= t_lower:
             raise InadmissibleT(f"T={float(T):.6g} below threshold {float(t_lower):.6g}")
-        rho = mp.mpf(params.rho) if params.rho is not None else T + eps / 4
-        if enforce and (rho < mp.sqrt(T * T + R) or rho > T + eps / 4):
-            raise InadmissibleRho("rho outside admissible interval")
+        rho = T + eps / 4
+        if enforce and rho < mp.sqrt(T * T + R):
+            raise InadmissibleRho("rho = T + eps/4 not above sqrt(T^2+R)")
         q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
         h = mp_h_eps(eps, T)
         floor = 2 - mp_f_series(cl1 / h)

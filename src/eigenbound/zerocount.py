@@ -27,6 +27,12 @@ from .errors import (CenterIsZero, ContinuationOutOfStrip, NonConvergent,
                      ZeroOnContour)
 
 _MODULUS_FLOOR = 1e-12
+# locate_zeros: initial arcs per box side, phase-tracking depth, box budget
+_BOX_N0 = 10
+_BOX_DEPTH = 14
+_MAX_BOXES = 4000
+# empirical_vs_bound: boxes this small are reported as clusters
+_MIN_BOX = 5e-3
 
 
 @dataclass(frozen=True)
@@ -224,10 +230,6 @@ def _box_winding(fn, box, n0, limit):
         raise type(exc)(f"box {_fmt_box(box)}: {exc}") from None
 
 
-def _winding_box(fn, box, n0=24, limit=14):
-    return _box_winding(fn, box, n0, limit)[0]
-
-
 @dataclass(frozen=True)
 class JensenResult:
     rhs: float
@@ -304,9 +306,7 @@ class _SplitFailed(Exception):
     """No fraction of the ladder splits a box into children adding up to it."""
 
 
-def locate_zeros(fn, region, min_box: float,
-                 n0: int = 10, refinement_limit: int = 14,
-                 max_boxes: int = 4000) -> ZeroCountResult:
+def locate_zeros(fn, region, min_box: float) -> ZeroCountResult:
     """Quadtree zero search over region = (re0, re1, im0, im1) in the k-plane.
 
     Boxes with winding one are polished by Newton with a differenced
@@ -356,7 +356,7 @@ def locate_zeros(fn, region, min_box: float,
             if j > 0:
                 flags["jitter_used"] += 1
             try:
-                return _box_winding(fn, trial, n0, refinement_limit)[0], trial
+                return _box_winding(fn, trial, _BOX_N0, _BOX_DEPTH)[0], trial
             except ZeroOnContour as exc:
                 last = exc
         raise last
@@ -364,8 +364,8 @@ def locate_zeros(fn, region, min_box: float,
     def resolve(box, w, where):
         """The zeros in box, whose winding is w; where says how box was reached."""
         flags["boxes"] += 1
-        if flags["boxes"] > max_boxes:
-            raise NonConvergent(f"subdivision exceeded the budget of {max_boxes} "
+        if flags["boxes"] > _MAX_BOXES:
+            raise NonConvergent(f"subdivision exceeded the budget of {_MAX_BOXES} "
                                 f"boxes at box {_fmt_box(box)}, {where}")
         if w == 0:
             return []
@@ -386,7 +386,7 @@ def locate_zeros(fn, region, min_box: float,
                     ok = _box_winding(
                         fn, (z.real - 0.02 * bx, z.real + 0.02 * bx,
                              z.imag - 0.02 * by, z.imag + 0.02 * by),
-                        max(6, n0 // 2), refinement_limit)[0] == w
+                        max(6, _BOX_N0 // 2), _BOX_DEPTH)[0] == w
                 except ZeroOnContour:
                     ok = False
             if ok:
@@ -407,7 +407,7 @@ def locate_zeros(fn, region, min_box: float,
             found = []
             try:
                 for c in children:
-                    found.append(_box_winding(fn, c, n0, refinement_limit))
+                    found.append(_box_winding(fn, c, _BOX_N0, _BOX_DEPTH))
             except ZeroOnContour as exc:
                 tried.append(f"fraction {fr}: {exc}")
                 continue
@@ -480,6 +480,7 @@ class EmpiricalComparison:
     region: tuple
     chain_ok: bool
     report: object
+    functionals: object
 
 
 def _is_real_potential(p):
@@ -525,38 +526,31 @@ def default_search_region(p, fn, eps, pad: float = 1.1):
 
 def empirical_vs_bound(p, eps: float, mode: str,
                        n_radial: int = 12, n_angular: int = 38,
-                       region=None, min_box: float = 5e-3,
-                       quad=None) -> EmpiricalComparison:
+                       region=None, quad=None) -> EmpiricalComparison:
     """Locate determinant zeros and compare the counts with the theorem bound.
 
-    Counts zeros of det(I + A) (eigenvalues of -Delta + V), det(I - A)
-    (eigenvalues of -Delta - V) and their union (zeros of D) inside the
-    search region, then asserts N_emp(V) <= N_D <= n_bound.
+    Measures the functionals once (with quad), takes the theorem bound
+    from scalarbounds.count_bounds (mode "auto" or the theorem matching
+    the decay class), then counts zeros of det(I + A) (eigenvalues of
+    -Delta + V), det(I - A) (eigenvalues of -Delta - V) and their union
+    (zeros of D) inside the search region and checks
+    N_emp(V) <= N_D <= n_bound.
     """
     from . import fredholm, potentials, scalarbounds
     fn = potentials.measure_functionals(p, eps, quad)
-    if mode == "Theorem1":
-        const = scalarbounds.lemma1_constant(fn)
-        report = scalarbounds.n_bound_theorem1(fn, const,
-                                               scalarbounds.BoundParameters(eps=eps))
-    elif mode == "Theorem2":
-        const = scalarbounds.lemma2_constant(fn)
-        report = scalarbounds.n_bound_theorem2(fn, const,
-                                               scalarbounds.BoundParameters(eps=eps))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    report = scalarbounds.count_bounds(fn, mode)[2]
     if region is None:
         region = default_search_region(p, fn, eps)
     ev = fredholm.DeterminantEvaluator(p, n_radial, n_angular)
-    res_plus = locate_zeros(ev.det_plus, region, min_box)
-    res_minus = locate_zeros(ev.det_minus, region, min_box)
+    res_plus = locate_zeros(ev.det_plus, region, _MIN_BOX)
+    res_minus = locate_zeros(ev.det_minus, region, _MIN_BOX)
     n_plus = res_plus.total_multiplicity
     n_minus = res_minus.total_multiplicity
     n_d = n_plus + n_minus
     chain_ok = n_plus <= n_d <= report.n_bound
     return EmpiricalComparison(n_plus, n_minus, n_d, report.n_bound,
                                report.radius_R, res_plus.zeros, res_minus.zeros,
-                               tuple(region), chain_ok, report)
+                               tuple(region), chain_ok, report, fn)
 
 
 @dataclass(frozen=True)
@@ -565,6 +559,7 @@ class JensenChain:
     jensen_rhs: float
     jensen_n_bound: float
     theorem_n_bound: float
+    theorem_log_n_bound: float
     converged: bool
     chain_ok: bool
 
@@ -579,7 +574,9 @@ def jensen_chain(evaluator, report, located_inner_count: int,
     range.  located_inner_count must be the number of D zeros found inside
     the disc |k - iT| <= sqrt(T^2+R); for the potentials in the suite every
     such zero lies in the small-|k| search region (the kernel bound keeps
-    the continued determinant away from zero elsewhere).
+    the continued determinant away from zero elsewhere).  The Jensen
+    value is held to the theorem in logarithms, so the comparison still
+    means something when the theorem's n_bound is +inf.
     """
     from .scalarbounds import log_ratio_log
     T = report.T_used
@@ -590,6 +587,7 @@ def jensen_chain(evaluator, report, located_inner_count: int,
                           n_theta=n_theta, n_theta_max=n_theta_max,
                           log_ratio_denominator=denom)
     chain_ok = (located_inner_count <= jr.n_bound + 1e-9 and
-                jr.n_bound <= report.n_bound * (1.0 + 1e-9) + 1e-9)
-    return JensenChain(located_inner_count, jr.rhs, jr.n_bound,
-                       report.n_bound, jr.converged, chain_ok)
+                (jr.n_bound <= 1e-9 or
+                 math.log(jr.n_bound) <= report.log_n_bound + 1e-9))
+    return JensenChain(located_inner_count, jr.rhs, jr.n_bound, report.n_bound,
+                       report.log_n_bound, jr.converged, chain_ok)

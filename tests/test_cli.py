@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigenbound import cli, fredholm
+from eigenbound import cli, fredholm, potentials, scalarbounds
 
 
 def _write_config(tmp_path, body):
@@ -250,11 +250,13 @@ class TestVerify:
                    for r in json.loads((out / "verify.json").read_text())}
         assert results["det(I-A^2) = det(I-A)det(I+A)"] is False
 
-    def test_fault_injection_fails_named_check(self, tmp_path, capsys):
+    def test_fault_injection_fails_named_check(self, tmp_path, monkeypatch):
+        lemma1_constant = scalarbounds.lemma1_constant
+        monkeypatch.setattr(scalarbounds, "lemma1_constant",
+                            lambda fn: 1e-3 * lemma1_constant(fn))
         cfg = _write_config(tmp_path, dict(BUMP_CFG, grid="10x26"))
         out = tmp_path / "out"
-        rc = cli.main(["--config", cfg, "--out", str(out),
-                       "--inject-fault", "lemma1_constant", "verify"])
+        rc = cli.main(["--config", cfg, "--out", str(out), "verify"])
         assert rc == cli.EXIT_VIOLATION
         results = json.loads((out / "verify.json").read_text())
         failed = [r["check"] for r in results if not r["ok"]]
@@ -274,3 +276,32 @@ class TestCount:
         assert data["n_empirical_plus"] == 0
         assert data["n_determinant"] == 0
         assert os.path.exists(out / "zeros_plus.csv")
+
+    def test_mode_mismatch_exits_2(self, tmp_path):
+        cfg = _write_config(tmp_path, dict(WEAK_BUMP_CFG, mode="Theorem2"))
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "out"),
+                         "count"]) == cli.EXIT_VIOLATION
+
+
+WEAK_BUMP_CFG = {
+    "potential": {"family": "bump", "parameters": {"v0": [-0.3, 0.0], "radius": 1.0}},
+    "eps": 1.0, "grid": "8x26",
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "count", "compare-oracle"])
+def test_functionals_measured_once_with_config_spec(tmp_path, monkeypatch, command):
+    # one measurement per command, at the --seed and tolerances.quadrature
+    # of the config, never a second one at the defaults
+    calls = []
+    measure = potentials.measure_functionals
+
+    def recording(p, eps, quad=None):
+        calls.append((getattr(quad, "seed", None), getattr(quad, "tol", None)))
+        return measure(p, eps, quad)
+    monkeypatch.setattr(potentials, "measure_functionals", recording)
+    cfg = _write_config(tmp_path, dict(WEAK_BUMP_CFG, tolerances={"quadrature": 1e-5}))
+    rc = cli.main(["--config", cfg, "--out", str(tmp_path / "out"), "--seed", "3",
+                   command])
+    assert rc == cli.EXIT_OK
+    assert calls == [(3, 1e-5)]

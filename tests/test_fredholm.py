@@ -272,6 +272,14 @@ class TestBoundCheck:
             fr.determinant_bound_check(fr.DeterminantEvaluator(bump_unit),
                                        1.0 - 0.3j, 1.0, bump_unit_functionals)
 
+    def test_modulus_inside_double_range_is_finite(self, bump_unit,
+                                                   bump_unit_functionals, monkeypatch):
+        # e^705 is a double: it must come back finite, not as +inf
+        ev = fr.DeterminantEvaluator(bump_unit, 6, 14)
+        monkeypatch.setattr(ev, "log_abs_det", lambda k: 705.0)
+        absd, _ = fr.determinant_bound_check(ev, 1j, 1.0, bump_unit_functionals)
+        assert absd == pytest.approx(math.exp(705.0), rel=1e-15)
+
     def test_bound_holds_on_strip_grid(self, bump_unit, bump_unit_functionals):
         fn = bump_unit_functionals
         ev = fr.DeterminantEvaluator(bump_unit, 10, 26)

@@ -230,13 +230,3 @@ class TestEllipsoidMajorant:
         assert spec.minor ** 2 == pytest.approx(spec.r ** 2 - spec.c ** 2, rel=1e-14)
         with pytest.raises(ValueError):
             ker.EllipsoidSpec.from_foci([1, 0, 0], [-1, 0, 0], 0.5)
-
-
-class TestSpectralPoint:
-    def test_lambda_is_k_squared(self):
-        sp = ker.SpectralPoint.from_k(1.3 - 0.2j)
-        assert sp.lam == (1.3 - 0.2j) ** 2
-        assert sp.continued
-
-    def test_upper_half_not_continued(self):
-        assert not ker.SpectralPoint.from_k(0.5 + 1j).continued

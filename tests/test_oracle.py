@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 
 from eigenbound import oracle as orc
 from eigenbound import potentials as pot
-from eigenbound.errors import ChannelTruncationUnsafe, NonpositiveImK, StiffIntegration
+from eigenbound.errors import (ChannelTruncationUnsafe, NonConvergent, NonpositiveImK,
+                               StiffIntegration)
 
 # thresholds of the unit bump well -g*exp(1+1/(r^2-1)) from the pre-build
 # zero-energy sweep of the asymptotic growing-component coefficient
@@ -188,6 +189,13 @@ class TestCounting:
         p = pot.bump_potential(-1.0 * np.exp(1j * np.pi / 6), 3.0)
         rc = orc.count_eigenvalues_radial(p, 2.0)
         assert rc.total == 1
+
+    def test_uncertified_phase_raises(self, monkeypatch):
+        # a phase change 1 rad off every multiple of 2 pi is not a winding
+        # number; it must not be rounded to one
+        monkeypatch.setattr(orc, "_phase_track", lambda *a: (2.0 * math.pi + 1.0, 1.0))
+        with pytest.raises(NonConvergent, match="channel l=0"):
+            orc.count_eigenvalues_radial(pot.bump_potential(-1.0, 3.0), 2.0)
 
     def test_unsafe_truncation_raises(self):
         p = pot.bump_potential(-53.0, 1.0)

@@ -205,6 +205,38 @@ class TestHadamard:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+class TestCountBounds:
+    def test_auto_follows_decay_class(self, bump_unit_functionals,
+                                      mollified_exp_functionals):
+        fn = bump_unit_functionals
+        mode, c, th, cor = sb.count_bounds(fn)
+        assert (mode, c) == ("Theorem1", sb.lemma1_constant(fn))
+        assert th == sb.n_bound_theorem1(fn, c, sb.BoundParameters(eps=fn.eps))
+        assert cor == sb.n_bound_corollary1(fn, c, fn.eps)
+        fe = mollified_exp_functionals
+        mode, c, th, cor = sb.count_bounds(fe, "Theorem2")
+        assert (mode, c) == ("Theorem2", sb.lemma2_constant(fe))
+        assert th == sb.n_bound_theorem2(fe, c, sb.BoundParameters(eps=fe.eps))
+        assert cor == sb.n_bound_corollary2(fe, c, fe.eps)
+
+    def test_named_mode_must_match_decay_class(self, bump_unit_functionals,
+                                                mollified_exp_functionals):
+        with pytest.raises(ModeMismatch):
+            sb.count_bounds(bump_unit_functionals, "Theorem2")
+        with pytest.raises(ModeMismatch):
+            sb.count_bounds(mollified_exp_functionals, "Theorem1")
+        with pytest.raises(ValueError):
+            sb.count_bounds(bump_unit_functionals, "Theorem3")
+
+    def test_theorem_at_given_T(self, bump_unit_functionals):
+        fn = bump_unit_functionals
+        with pytest.raises(InadmissibleT):
+            sb.count_bounds(fn, T=1e-3)
+        cor = sb.count_bounds(fn)[3]
+        th = sb.count_bounds(fn, T=cor.T_used, enforce=False)[2]
+        assert th.T_used == cor.T_used
+
+
 class TestTheorem1:
     def test_zero_potential_bound_is_zero(self):
         fn = pot.measure_functionals(pot.zero_potential(), 1.0)

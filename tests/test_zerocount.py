@@ -1,11 +1,13 @@
 """Winding numbers, Jensen bounds, zero location."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from eigenbound import potentials as pot
+from eigenbound import scalarbounds as sb
 from eigenbound import zerocount as zc
 from eigenbound.errors import CenterIsZero, NonConvergent, ZeroOnContour
 
@@ -74,11 +76,11 @@ class TestWinding:
         # winding over a box equals the sum over a 2x2 partition of it
         f = lambda k: (k - (0.3 + 0.7j)) * (k - (-0.5 + 1.3j)) ** 2 * np.exp(k)
         box = (-1.0, 1.0, 0.2, 1.8)
-        total = zc._winding_box(f, box)
+        total = zc._box_winding(f, box, 24, 14)[0]
         xm, ym = 0.1, 1.05   # deliberately off-center split
         parts = [(-1.0, xm, 0.2, ym), (xm, 1.0, 0.2, ym),
                  (-1.0, xm, ym, 1.8), (xm, 1.0, ym, 1.8)]
-        assert total == sum(zc._winding_box(f, b) for b in parts) == 3
+        assert total == sum(zc._box_winding(f, b, 24, 14)[0] for b in parts) == 3
 
     def test_near_contour_loop_not_aliased(self):
         # a zero just off the contour bends the image through a tight loop;
@@ -93,8 +95,8 @@ class TestWinding:
         # loop falls between samples, and both half steps of every arc
         # stay below pi/2, unless the sampling condition forces refinement
         f = lambda k: (k - (0.003 + 3.778j)) * (k - (0.003 + 3.780j))
-        assert zc._winding_box(f, (0.0, 0.35, 0.125, 4.285), 10, 14) == 2
-        assert zc._winding_box(f, (-0.356, 0.0, 0.125, 4.285), 10, 14) == 0
+        assert zc._box_winding(f, (0.0, 0.35, 0.125, 4.285), 10, 14)[0] == 2
+        assert zc._box_winding(f, (-0.356, 0.0, 0.125, 4.285), 10, 14)[0] == 0
 
     def test_breadth_first_probes_each_point_once(self):
         # the sweeps probe exactly the points the depth-first loop probes,
@@ -159,6 +161,24 @@ class TestJensen:
         w = zc.winding_number(f, zc.ContourSpec(center=0j, radius=inner))
         assert w == 2
         assert jr.n_bound >= w
+
+    def test_chain_compares_with_theorem_in_logs(self):
+        # D(k) = k - z0 with z0 just off the circle's center iT: the Jensen
+        # bound is ln(rho/|iT - z0|) / ln(rho/sqrt(T^2+R)) = 22.1.  The
+        # theorem's n_bound overflowed to +inf but its logarithm, 1.0, lies
+        # below ln 22.1, so the chain must fail
+        T, R, eps = 1.0, 0.01, 1.0
+        z0 = 1j * T + 0.01
+        ev = SimpleNamespace(log_abs_det=lambda k: math.log(abs(k - z0)))
+        report = sb.BoundReport(1.0, "C", R, 1.0, 1.0, T, T + eps / 4.0, eps,
+                                math.inf, True, "synthetic", math.log(R),
+                                math.log(T), 1.0)
+        chain = zc.jensen_chain(ev, report, 1, n_theta=64, n_theta_max=1024)
+        assert chain.converged
+        assert chain.jensen_n_bound == pytest.approx(
+            math.log(125.0) / math.log(1.25 / math.sqrt(1.01)), rel=1e-9)
+        assert chain.theorem_log_n_bound == 1.0
+        assert not chain.chain_ok
 
 
 class TestLocateZeros:
