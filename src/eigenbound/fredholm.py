@@ -4,22 +4,29 @@ The operator R_0(lambda) V on the determinant ball (determinant_ball_radius)
 is discretized on a spherical product grid; entry (i,j) is
 e^{ik|x_i-x_j|}/(4 pi |x_i-x_j|) V(x_j) w_j off the stencils, and each
 row's nearest nodes carry a local moment correction against the closed-form
-ball integrals of the free kernel.  D(k) = det(I - A^2) is evaluated as
-det(I - A) det(I + A) through two pivoted LU factorizations in
-log-magnitude + phase form, which survives the huge dynamic range met on
-continuation contours.
+ball integrals of the free kernel.  Stencils are closed under distance
+ties, so A(k) commutes with the coordinate reflections that map the grid
+and V onto themselves: only its orbit-representative rows are assembled,
+folded into one block per character of their group (a grid or V without
+symmetry is the one-block case, A itself).  D(k) = det(I - A^2) is
+evaluated as det(I - A) det(I + A), each the product of the blocks'
+pivoted LU determinants in log-magnitude + phase form, which survives
+the huge dynamic range met on continuation contours.
 
 DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
-k-independent geometry once, so assemblies at distinct k are independent
-and safe to run in parallel.
+k-independent geometry and symmetry once, so assemblies at
+distinct k are independent and safe to run in parallel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from . import grids
 from .errors import ContinuationOutOfStrip, NonConvergent, TooManyTerms
@@ -205,7 +212,8 @@ class BSAssembler:
     nearest nodes are adjusted (minimum-norm) so that the row integrates
     const and linear functions times the kernel exactly, using the
     closed-form monopole/dipole ball moments.  This removes the dominant
-    near-singularity quadrature error.
+    near-singularity quadrature error.  `reflections` holds the sign
+    rows of the reflection group the grid and V admit (identity first).
     """
 
     N_NEIGHBORS = 14
@@ -215,20 +223,16 @@ class BSAssembler:
         self.ball_radius = determinant_ball_radius(p)
         self.nodes = np.asarray(nodes)
         self.weights = np.asarray(weights)
-        d = self.nodes[:, None, :] - self.nodes[None, :, :]
-        self.dist = np.sqrt(np.sum(d * d, axis=-1))
+        self.dist = cdist(self.nodes, self.nodes)
         np.fill_diagonal(self.dist, 1.0)          # placeholder; diagonal is replaced
         self.vvals = p.value_fn(self.nodes)
         self.vw = self.vvals * self.weights
         center = np.asarray(p.center, dtype=float)
         self.node_rho = np.linalg.norm(self.nodes - center[None, :], axis=1)
-        with np.errstate(invalid="ignore"):
-            self.node_hat = np.where(self.node_rho[:, None] > 0,
-                                     (self.nodes - center[None, :]) /
-                                     np.where(self.node_rho[:, None] == 0, 1.0,
-                                              self.node_rho[:, None]),
-                                     0.0)
+        self.node_hat = ((self.nodes - center[None, :]) /
+                         np.where(self.node_rho > 0, self.node_rho, 1.0)[:, None])
         self._prepare_moment_stencils()
+        self._prepare_blocks()
 
     def _prepare_moment_stencils(self):
         """Per-row neighbor sets and pseudo-inverses of the moment matrices.
@@ -236,75 +240,140 @@ class BSAssembler:
         Nearest nodes cluster on the node's own radial shell (nearly
         coplanar caps), so the radially adjacent nodes in the product
         grid's (shell, direction) layout are forced into every stencil to
-        keep the linear moments well posed.
+        keep the linear moments well posed.  The nearest nodes fill the
+        stencil to N_NEIGHBORS, closed under distance ties: every node as
+        near as the last one taken (to 1e-10 relative) joins, so mirror
+        rows get mirror stencils.  Rows are padded to one length with
+        their next-nearest nodes, masked out of the moments
+        (`stencil_mask` marks the real members).
         """
         n = len(self.weights)
         m = min(self.N_NEIGHBORS, n)
-        dist = self.dist.copy()
-        np.fill_diagonal(dist, 0.0)
-        order = np.argsort(dist, axis=1)
-        nbr = np.empty((n, m), dtype=int)
         n_ang = self._n_angular_layout()
-        for i in range(n):
-            forced = [i]
-            if n_ang:
-                for j in (i - n_ang, i + n_ang):
-                    if 0 <= j < n:
-                        forced.append(j)
-            seen = list(dict.fromkeys(forced))
-            for j in order[i]:
-                if len(seen) >= m:
-                    break
-                if j not in seen:
-                    seen.append(int(j))
-            nbr[i] = seen[:m]
-        self.nbr = nbr
+        dist = self.dist.copy()
+        for shift in {0, n_ang, -n_ang}:     # forced nodes sort first
+            i = np.arange(max(0, -shift), min(n, n - shift))
+            dist[i, i + shift] = -1.0
+        for n_cand in (min(n, 3 * m), n):    # all n only if ties outrun 3m
+            nbr = np.argpartition(dist, n_cand - 1, axis=1)[:, :n_cand]
+            nd = np.take_along_axis(dist, nbr, axis=1)
+            order = np.argsort(nd, axis=1, kind="stable")
+            nbr = np.take_along_axis(nbr, order, axis=1)
+            nd = np.take_along_axis(nd, order, axis=1)
+            cut = nd[:, m - 1] * (1.0 + 1e-10)
+            n_real = np.sum(nd <= cut[:, None], axis=1)
+            if np.all(nd[:, -1] > cut):
+                break
+        width = int(np.max(n_real))
+        self.nbr = nbr[:, :width]
+        self.stencil_mask = np.arange(width)[None, :] < n_real[:, None]
         dx = self.nodes[self.nbr] - self.nodes[:, None, :]           # (n, m, 3)
-        scale = np.maximum(np.max(np.linalg.norm(dx, axis=2), axis=1), 1e-12)
-        self.mom_scale = scale
-        q = np.empty((n, 4, m))
-        q[:, 0, :] = 1.0
-        q[:, 1:, :] = np.transpose(dx, (0, 2, 1)) / scale[:, None, None]
+        reach = np.where(self.stencil_mask, np.linalg.norm(dx, axis=2), 0.0)
+        self.mom_scale = np.maximum(np.max(reach, axis=1), 1e-12)
+        q = np.concatenate([np.ones((n, 1, width)), np.transpose(dx, (0, 2, 1)) /
+                            self.mom_scale[:, None, None]], axis=1)
+        q *= self.stencil_mask[:, None, :]
         qqt = q @ np.transpose(q, (0, 2, 1))                         # (n, 4, 4)
         self.mom_pinv = np.transpose(q, (0, 2, 1)) @ np.linalg.pinv(qqt, rcond=1e-10)
 
     def _n_angular_layout(self):
         """Angular block size of the (shell-major, direction-minor) node layout."""
-        n = len(self.weights)
         rho = self.node_rho
-        first = rho[0]
-        count = int(np.sum(np.abs(rho - first) < 1e-9 * max(first, 1.0)))
-        if count > 1 and n % count == 0:
-            return count
-        return 0
+        count = int(np.sum(np.abs(rho - rho[0]) < 1e-9 * max(rho[0], 1.0)))
+        return count if count > 1 and len(rho) % count == 0 else 0
 
-    def matrix(self, k: complex):
-        """The Nystrom matrix A(k) of R_0(k^2) V on this grid."""
+    def _prepare_blocks(self):
+        """Keep each reflection x -> c + s (x - c) that maps the nodes onto
+        themselves (to 1e-12 of the ball radius) and fixes V w and w (to
+        1e-12 of their largest entry), and check that each maps every
+        stencil onto its image's.  Over orbit representatives r, s
+        (least index per orbit), the block of a character chi holds the
+        orbits whose stabilizer lies in ker chi, with entries
+        M_chi[r, s] = sum_{j in orbit(s)} chi(g_j) A[r, j]."""
+        n = len(self.weights)
+        rel = self.nodes - np.asarray(self.potential.center, dtype=float)
+        tree = cKDTree(rel)
+        signs, perms = [], []
+        for s in itertools.product((1.0, -1.0), repeat=3):
+            img = tree.query(rel * s, distance_upper_bound=1e-12 * self.ball_radius)[1]
+            if np.array_equal(np.sort(img), np.arange(n)) and all(
+                    np.max(np.abs(v[img] - v)) <= 1e-12 * np.max(np.abs(v))
+                    for v in (self.vw, self.weights)):
+                signs.append(s)
+                perms.append(img)
+        signs, perms = np.array(signs), np.array(perms)
+        own = np.sort(np.where(self.stencil_mask, self.nbr, n), axis=1)
+        for s, perm in zip(signs, perms):
+            image = np.sort(np.where(self.stencil_mask, perm[self.nbr], n), axis=1)
+            bad = np.flatnonzero(np.any(image != own[perm], axis=1))
+            if len(bad):
+                raise RuntimeError(f"the reflection {tuple(s)} maps the stencil of row "
+                                   f"{bad[0]} off the stencil of row {perm[bad[0]]}")
+        self.reflections = signs
+        order = len(signs)
+        fixed = np.sum(perms == np.arange(n), axis=0)                # stabilizer orders
+        self._reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
+        n_rep = len(self._reps)
+        self._orbit_cols = perms[:, self._reps].ravel()              # (h, s) -> column
+        self._short = np.flatnonzero(fixed > 1)
+        self._short_scale = 1.0 / fixed[self._short]
+        subsets = (np.arange(8)[:, None] >> np.arange(3)) & 1     # chi(s) = prod s^t
+        self._chars = np.unique(np.prod(signs ** subsets[:, None, :], axis=2), axis=0)
+        stab = perms[:, self._reps] == self._reps                    # (h, s)
+        keep = ~np.any(stab[None, :, :] & (self._chars[:, :, None] < 0), axis=1)
+        kept = [(c, np.flatnonzero(row)) for c, row in enumerate(keep) if row.any()]
+        self.block_sizes = [len(r) for _, r in kept]
+        width = max(self.block_sizes)
+        # flat positions in the folded (r, chi, s) array; padding reads the
+        # zero one past its end
+        self._block_index = np.full((len(kept), width, width), n_rep * order * n_rep)
+        for b, (c, r) in enumerate(kept):
+            self._block_index[b, :len(r), :len(r)] = (r[:, None] * order + c) * n_rep + r
+
+    def matrix(self, k: complex, rows=None):
+        """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows."""
         _check_strip(complex(k), self.potential, self.ball_radius)
-        kern = np.exp(1j * k * self.dist) / (4.0 * np.pi * self.dist)
-        np.fill_diagonal(kern, 0.0)
+        rows = np.arange(len(self.weights)) if rows is None else np.asarray(rows)
+        dist = self.dist[rows]
+        kern = np.exp(1j * k * dist) / (4.0 * np.pi * dist)
+        kern[np.arange(len(rows)), rows] = 0.0
         a = kern * self.vw[None, :]
-        s = ball_helmholtz_potential(k, self.node_rho, self.ball_radius)
-        dip = ball_helmholtz_dipole(k, self.node_rho, self.ball_radius)
+        rho = self.node_rho[rows]
+        s = ball_helmholtz_potential(k, rho, self.ball_radius)
+        dip = ball_helmholtz_dipole(k, rho, self.ball_radius)
         kw = kern * self.weights[None, :]
         raw0 = kw.sum(axis=1)
-        raw1 = kw @ self.nodes - raw0[:, None] * self.nodes
-        exact1 = self.node_hat * (dip - self.node_rho * s)[:, None]
+        raw1 = kw @ self.nodes - raw0[:, None] * self.nodes[rows]
+        exact1 = self.node_hat[rows] * (dip - rho * s)[:, None]
         defect = np.empty((len(s), 4), dtype=complex)
         defect[:, 0] = s - raw0
-        defect[:, 1:] = (exact1 - raw1) / self.mom_scale[:, None]
-        delta = np.einsum("nmf,nf->nm", self.mom_pinv, defect)
-        rows = np.repeat(np.arange(len(s)), self.nbr.shape[1])
-        cols = self.nbr.ravel()
+        defect[:, 1:] = (exact1 - raw1) / self.mom_scale[rows, None]
+        delta = np.einsum("nmf,nf->nm", self.mom_pinv[rows], defect)
+        nbr = self.nbr[rows]
         # each row's stencil columns are distinct, so a plain fancy-index
         # add updates every (row, col) pair once
-        a[rows, cols] += (delta * self.vvals[self.nbr]).ravel()
+        a[np.arange(len(rows))[:, None], nbr] += delta * self.vvals[nbr]
         return a
 
+    def blocks(self, k: complex):
+        """The character blocks M_chi of A(k), zero-padded to one size and
+        stacked, from the orbit-representative rows alone."""
+        a = self.matrix(k, rows=self._reps)
+        a[:, self._short] *= self._short_scale      # each orbit member once
+        n_rep, order = len(self._reps), len(self._chars)
+        orbits = np.take(a, self._orbit_cols, axis=1).reshape(n_rep, order, n_rep)
+        folded = np.zeros(n_rep * order * n_rep + 1, dtype=complex)
+        # chi-sums as one real matmul over (re, im) pairs
+        np.matmul(self._chars, orbits.view(float),
+                  out=folded[:-1].view(float).reshape(n_rep, order, 2 * n_rep))
+        return folded[self._block_index]
 
-def _slogdet_shifted(a, sign):
-    """(phase, log|det|) of I + sign*A."""
-    return np.linalg.slogdet(np.eye(len(a)) + sign * a)
+
+def _slogdet_shifted(blocks, sign):
+    """(phase, log|det|) of I + sign*A from the stacked blocks of A; one
+    LU per block, all in one call."""
+    s, log_abs = np.linalg.slogdet(np.eye(blocks.shape[-1]) + sign * blocks)
+    return np.prod(s), np.sum(log_abs)
 
 
 def _to_value(s, log_abs):
@@ -328,17 +397,17 @@ class DeterminantEvaluator:
     def factors(self, k: complex, signs):
         """(phase, log|det|) of I + sign*A per requested sign, lazily.
 
-        One factorization per sign; the assembled matrix is never retained
-        (an extra assembly on a late second-sign request is cheaper than
-        holding dense matrices across thousands of cached points).
+        One stacked block factorization per sign; the blocks are never
+        retained (an extra assembly on a late second-sign request is cheaper
+        than holding dense matrices across thousands of cached points).
         """
         k = complex(k)
         entry = self._cache.setdefault(k, {})
         missing = [s for s in signs if s not in entry]
         if missing:
-            a = self.assembler.matrix(k)
+            blocks = self.assembler.blocks(k)
             for s in missing:
-                entry[s] = _slogdet_shifted(a, s)
+                entry[s] = _slogdet_shifted(blocks, s)
         return [entry[s] for s in signs]
 
     def det_value(self, k):

@@ -1,5 +1,7 @@
 """Nystrom grids, Birman-Schwinger assembly, determinants, series terms."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +194,72 @@ class TestDeterminant:
         vals = [fr.DeterminantEvaluator(bump_unit, n_r, n_a).det_value(k)
                 for n_r, n_a in ((6, 14), (12, 38), (18, 74))]
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
+
+
+def _reflection_perms(asm, signs):
+    """Node permutation of each reflection x -> s x, found independently."""
+    from scipy.spatial.distance import cdist
+    return [np.argmin(cdist(asm.nodes * s, asm.nodes), axis=1) for s in signs]
+
+
+ALL_REFLECTIONS = [np.array(s) for s in itertools.product((1.0, -1.0), repeat=3)]
+
+
+class TestReflectionBlocks:
+    @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
+    def test_matrix_is_equivariant(self, bump_unit, grid):
+        # A[g(i), g(j)] = A[i, j] for all eight reflections, which map these
+        # grids onto themselves and fix the centred bump
+        asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, *grid))
+        a = asm.matrix(0.7 + 0.4j)
+        for perm in _reflection_perms(asm, ALL_REFLECTIONS):
+            assert np.max(np.abs(a[np.ix_(perm, perm)] - a)) < 1e-10 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
+    def test_stencils_map_onto_images(self, bump_unit, grid):
+        asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, *grid))
+        real = [set(np.asarray(row)[m].tolist()) for row, m in zip(asm.nbr, asm.stencil_mask)]
+        for perm in _reflection_perms(asm, ALL_REFLECTIONS):
+            for i, st in enumerate(real):
+                assert {int(perm[j]) for j in st} == real[perm[i]]
+
+    @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
+    def test_block_product_matches_full_slogdet(self, bump_unit, grid):
+        ev = fr.DeterminantEvaluator(bump_unit, *grid)
+        assert len(ev.assembler.block_sizes) == 8
+        for k in (0.8 + 0.6j, 0.5 - 0.05j):
+            a = ev.assembler.matrix(k)
+            for sign, (phase, log_abs) in zip((-1.0, 1.0), ev.factors(k, (-1.0, 1.0))):
+                s, ref = np.linalg.slogdet(np.eye(len(a)) + sign * a)
+                assert abs(phase / s * np.exp(log_abs - ref) - 1.0) < 1e-12
+
+    def test_group_order_follows_the_potential(self, bump_unit):
+        tilted = dataclasses.replace(
+            bump_unit, value_fn=lambda x: bump_unit.value_fn(x) * (1.0 + 0.3 * x[:, 0]))
+        skew = dataclasses.replace(
+            bump_unit, value_fn=lambda x: bump_unit.value_fn(x) *
+            (1.0 + 0.3 * x[:, 0] + 0.2 * x[:, 1] + 0.1 * x[:, 2]))
+        orders = [len(fr.BSAssembler(p, *fr.build_grid(p, 12, 38)).reflections)
+                  for p in (bump_unit, tilted, skew)]
+        assert orders == [8, 4, 1]
+        # the trivial group is the one-block case: the full matrix itself
+        asm = fr.BSAssembler(skew, *fr.build_grid(skew, 12, 38))
+        blocks = asm.blocks(0.8 + 0.6j)
+        assert blocks.shape == (1, 456, 456)
+        assert np.array_equal(blocks[0], asm.matrix(0.8 + 0.6j))
+
+    def test_never_factors_the_full_matrix(self, bump_unit, monkeypatch):
+        # one det(I + A) on the symmetric 456-node grid: eight block LUs,
+        # none above 120 rows, together the full dimension
+        shapes = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: shapes.append(np.shape(a)) or slogdet(a))
+        ev = fr.DeterminantEvaluator(bump_unit, 12, 38)
+        ev.factors(0.8 + 0.6j, (1.0,))
+        assert sum(math.prod(s[:-2]) for s in shapes) == 8
+        assert max(s[-1] for s in shapes) <= 120
+        assert sum(ev.assembler.block_sizes) == 456
 
 
 class TestSeriesTerms:
