@@ -10,8 +10,8 @@ and V onto themselves: only its orbit-representative rows are assembled,
 folded into one block per character of their group (a grid or V without
 symmetry is the one-block case, A itself).  D(k) = det(I - A^2) is
 evaluated as det(I - A) det(I + A), each the product of the blocks'
-pivoted LU determinants in log-magnitude + phase form, which survives
-the huge dynamic range met on continuation contours.
+LU determinants, one per block at its own size, in log-magnitude + phase
+form, which survives the huge dynamic range met on continuation contours.
 
 DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
@@ -310,11 +310,9 @@ class BSAssembler:
                 raise RuntimeError(f"the reflection {tuple(s)} maps the stencil of row "
                                    f"{bad[0]} off the stencil of row {perm[bad[0]]}")
         self.reflections = signs
-        order = len(signs)
         fixed = np.sum(perms == np.arange(n), axis=0)                # stabilizer orders
         self._reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
-        n_rep = len(self._reps)
-        self._orbit_cols = perms[:, self._reps].ravel()              # (h, s) -> column
+        self._orbit_cols = perms[:, self._reps]                      # (h, s) -> column
         self._short = np.flatnonzero(fixed > 1)
         self._short_scale = 1.0 / fixed[self._short]
         subsets = (np.arange(8)[:, None] >> np.arange(3)) & 1     # chi(s) = prod s^t
@@ -323,12 +321,7 @@ class BSAssembler:
         keep = ~np.any(stab[None, :, :] & (self._chars[:, :, None] < 0), axis=1)
         kept = [(c, np.flatnonzero(row)) for c, row in enumerate(keep) if row.any()]
         self.block_sizes = [len(r) for _, r in kept]
-        width = max(self.block_sizes)
-        # flat positions in the folded (r, chi, s) array; padding reads the
-        # zero one past its end
-        self._block_index = np.full((len(kept), width, width), n_rep * order * n_rep)
-        for b, (c, r) in enumerate(kept):
-            self._block_index[b, :len(r), :len(r)] = (r[:, None] * order + c) * n_rep + r
+        self.block_orbits = [(c, np.ix_(r, r)) for c, r in kept]   # (chi, its orbits)
 
     def matrix(self, k: complex, rows=None):
         """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows."""
@@ -356,24 +349,28 @@ class BSAssembler:
         return a
 
     def blocks(self, k: complex):
-        """The character blocks M_chi of A(k), zero-padded to one size and
-        stacked, from the orbit-representative rows alone."""
+        """The character sums M_chi[r, s] of A(k) over all orbit representatives
+        r, s from their rows alone, (n_char, n_rep, n_rep); see block_orbits."""
         a = self.matrix(k, rows=self._reps)
         a[:, self._short] *= self._short_scale      # each orbit member once
-        n_rep, order = len(self._reps), len(self._chars)
-        orbits = np.take(a, self._orbit_cols, axis=1).reshape(n_rep, order, n_rep)
-        folded = np.zeros(n_rep * order * n_rep + 1, dtype=complex)
-        # chi-sums as one real matmul over (re, im) pairs
-        np.matmul(self._chars, orbits.view(float),
-                  out=folded[:-1].view(float).reshape(n_rep, order, 2 * n_rep))
-        return folded[self._block_index]
+        orbits = np.take(a, self._orbit_cols, axis=1)               # (r, h, s)
+        # chi-sums as one real matmul over the group axis, (re, im) pairs
+        sums = np.matmul(self._chars, orbits.view(float)).view(complex)
+        return sums.transpose(1, 0, 2)
 
 
 def _slogdet_shifted(blocks, sign):
-    """(phase, log|det|) of I + sign*A from the stacked blocks of A; one
-    LU per block, all in one call."""
-    s, log_abs = np.linalg.slogdet(np.eye(blocks.shape[-1]) + sign * blocks)
-    return np.prod(s), np.sum(log_abs)
+    """(phase, log|det|) of I + sign*A over A's character blocks, given as
+    (character sums, index pair): each is gathered, shifted in place to
+    M + sign*I = sign (I + sign*M) and factored by one LU at its own size."""
+    phase, log_abs = 1.0, 0.0
+    for sums, index in blocks:
+        m = sums[index]
+        m.flat[::len(m) + 1] += sign
+        s, l = np.linalg.slogdet(m)
+        phase *= s * sign ** len(m)
+        log_abs += l
+    return phase, log_abs
 
 
 def _to_value(s, log_abs):
@@ -397,15 +394,15 @@ class DeterminantEvaluator:
     def factors(self, k: complex, signs):
         """(phase, log|det|) of I + sign*A per requested sign, lazily.
 
-        One stacked block factorization per sign; the blocks are never
-        retained (an extra assembly on a late second-sign request is cheaper
-        than holding dense matrices across thousands of cached points).
+        The signs not yet cached at k share one assembly, which is not
+        retained: a caller that will need both signs asks for both at once.
         """
         k = complex(k)
         entry = self._cache.setdefault(k, {})
         missing = [s for s in signs if s not in entry]
         if missing:
-            blocks = self.assembler.blocks(k)
+            sums = self.assembler.blocks(k)
+            blocks = [(sums[c], index) for c, index in self.assembler.block_orbits]
             for s in missing:
                 entry[s] = _slogdet_shifted(blocks, s)
         return [entry[s] for s in signs]

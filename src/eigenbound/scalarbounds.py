@@ -605,6 +605,19 @@ def _mp_report(fn, constant, kind, R, T, rho, eps, n_bound, diag):
                        float(n_bound), True, diag, ln(R), ln(T), ln(n_bound))
 
 
+def _mp_theorem_report(fn, constant, kind, R, T, rho, eps, hadamard_arg):
+    """Theorem 1 or 2's bound at 50 digits from R, T, rho and the argument of 2 - f."""
+    import mpmath as mp
+    floor = 2 - mp_f_series(hadamard_arg)
+    if floor <= 0:
+        raise NegativeLogArgument("2 - f(...) <= 0")
+    q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
+    bracket = mp.log(mp_f_series(q)) - mp.log(floor)
+    denom = mp.log(rho / mp.sqrt(T * T + R))
+    nb = bracket / denom if denom > 0 else mp.inf
+    return _mp_report(fn, constant, kind, R, T, rho, eps, max(nb, 0), "extended precision")
+
+
 def _n_bound_theorem1_mp(fn, C, params, enforce):
     import mpmath as mp
     with mp.workdps(50):
@@ -617,15 +630,8 @@ def _n_bound_theorem1_mp(fn, C, params, enforce):
         if enforce and T <= t_lower:
             raise InadmissibleT(f"T={float(T):.6g} below threshold {float(t_lower):.6g}")
         rho = T + eps / 4
-        q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
-        arg2 = 2 * cl1 / (mp.sqrt(1 + 4 * T) - 1)
-        floor = 2 - mp_f_series(arg2)
-        if floor <= 0:
-            raise NegativeLogArgument("2 - f(...) <= 0")
-        bracket = mp.log(mp_f_series(q)) - mp.log(floor)
-        denom = mp.log(rho / mp.sqrt(T * T + R))
-        nb = bracket / denom if denom > 0 else mp.inf
-        return _mp_report(fn, C, "C", R, T, rho, eps, max(nb, 0), "extended precision")
+        return _mp_theorem_report(fn, C, "C", R, T, rho, eps,
+                                  2 * cl1 / (mp.sqrt(1 + 4 * T) - 1))
 
 
 def _n_bound_corollary1_mp(fn, C, eps):
@@ -658,15 +664,7 @@ def _n_bound_theorem2_mp(fn, Ct, params, enforce):
         rho = T + eps / 4
         if enforce and rho < mp.sqrt(T * T + R):
             raise InadmissibleRho("rho = T + eps/4 not above sqrt(T^2+R)")
-        q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
-        h = mp_h_eps(eps, T)
-        floor = 2 - mp_f_series(cl1 / h)
-        if floor <= 0:
-            raise NegativeLogArgument("2 - f(...) <= 0")
-        bracket = mp.log(mp_f_series(q)) - mp.log(floor)
-        denom = mp.log(rho / mp.sqrt(T * T + R))
-        nb = bracket / denom if denom > 0 else mp.inf
-        return _mp_report(fn, Ct, "Ct", R, T, rho, eps, max(nb, 0), "extended precision")
+        return _mp_theorem_report(fn, Ct, "Ct", R, T, rho, eps, cl1 / mp_h_eps(eps, T))
 
 
 def _n_bound_corollary2_mp(fn, Ct, eps):

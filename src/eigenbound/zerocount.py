@@ -534,7 +534,8 @@ def empirical_vs_bound(p, eps: float, mode: str,
     the decay class), then counts zeros of det(I + A) (eigenvalues of
     -Delta + V), det(I - A) (eigenvalues of -Delta - V) and their union
     (zeros of D) inside the search region and checks
-    N_emp(V) <= N_D <= n_bound.
+    N_emp(V) <= N_D <= n_bound.  Each k is assembled once: the det(I + A)
+    search factors both signs there.
     """
     from . import fredholm, potentials, scalarbounds
     fn = potentials.measure_functionals(p, eps, quad)
@@ -542,7 +543,11 @@ def empirical_vs_bound(p, eps: float, mode: str,
     if region is None:
         region = default_search_region(p, fn, eps)
     ev = fredholm.DeterminantEvaluator(p, n_radial, n_angular)
-    res_plus = locate_zeros(ev.det_plus, region, _MIN_BOX)
+
+    def det_plus(k):
+        ev.factors(k, (+1.0, -1.0))
+        return ev.det_plus(k)
+    res_plus = locate_zeros(det_plus, region, _MIN_BOX)
     res_minus = locate_zeros(ev.det_minus, region, _MIN_BOX)
     n_plus = res_plus.total_multiplicity
     n_minus = res_minus.total_multiplicity

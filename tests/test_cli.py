@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import sys
 
@@ -162,16 +163,16 @@ class TestScan:
 
     def test_two_lus_per_admitted_k(self, tmp_path, monkeypatch):
         # one evaluator shared by more workers than cores, switching often:
-        # det(I - A) and det(I + A) once each per k, none for the points
-        # outside the strip
-        calls = []
+        # every block of det(I - A) and of det(I + A) factored once per k,
+        # none for the points outside the strip
+        factored = []
         slogdet = np.linalg.slogdet
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: calls.append(1) or slogdet(a))
-        cfg = _write_config(tmp_path, {
-            "potential": {"family": "mollified_exponential",
-                          "parameters": {"v0": 0.2, "rate": 1.0}},
-            "eps": 0.5, "grid": "6x14", "tolerances": {"scan_points_per_side": 5}})
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: factored.append(
+            math.prod(np.shape(a)[:-2])) or slogdet(a))
+        body = {"potential": {"family": "mollified_exponential",
+                              "parameters": {"v0": 0.2, "rate": 1.0}},
+                "eps": 0.5, "grid": "6x14", "tolerances": {"scan_points_per_side": 5}}
+        cfg = _write_config(tmp_path, body)
         out = tmp_path / "out"
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -184,7 +185,9 @@ class TestScan:
         rows = list(csv.DictReader(open(out / "scan.csv")))
         admitted = [r for r in rows if r["abs_D"] != "nan"]
         assert len(admitted) == 20
-        assert len(calls) == 2 * len(admitted)
+        block_sizes = fredholm.DeterminantEvaluator(
+            cli.load_potential(body["potential"]), 6, 14).assembler.block_sizes
+        assert sum(factored) == 2 * len(block_sizes) * len(admitted)
 
     def test_refine_builds_two_assemblers(self, tmp_path, monkeypatch):
         built = _count_assemblers(monkeypatch)

@@ -250,7 +250,8 @@ class TestReflectionBlocks:
 
     def test_never_factors_the_full_matrix(self, bump_unit, monkeypatch):
         # one det(I + A) on the symmetric 456-node grid: eight block LUs,
-        # none above 120 rows, together the full dimension
+        # none above 120 rows, together the full dimension, each at its
+        # block's own size
         shapes = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet",
@@ -260,6 +261,7 @@ class TestReflectionBlocks:
         assert sum(math.prod(s[:-2]) for s in shapes) == 8
         assert max(s[-1] for s in shapes) <= 120
         assert sum(ev.assembler.block_sizes) == 456
+        assert sorted(s[-1] for s in shapes) == sorted(ev.assembler.block_sizes)
 
 
 class TestSeriesTerms:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from eigenbound import fredholm
 from eigenbound import potentials as pot
 from eigenbound import scalarbounds as sb
 from eigenbound import zerocount as zc
@@ -241,3 +242,21 @@ class TestSearchRegion:
         kmax = math.sqrt(math.sqrt(2.0) * fn.linf_norm)
         assert re1 >= kmax and im1 >= kmax
         assert 0 < im0 <= 1.0 / 8.0
+
+
+class TestEmpiricalVsBound:
+    def test_one_assembly_per_k(self, monkeypatch):
+        # both searches cover the same region: each k either visits is
+        # assembled once, however many signs are factored there
+        assembled, requested = [], set()
+        blocks = fredholm.BSAssembler.blocks
+        factors = fredholm.DeterminantEvaluator.factors
+        monkeypatch.setattr(fredholm.BSAssembler, "blocks",
+                            lambda self, k: assembled.append(k) or blocks(self, k))
+        monkeypatch.setattr(fredholm.DeterminantEvaluator, "factors",
+                            lambda self, k, signs: requested.add(complex(k)) or
+                            factors(self, k, signs))
+        comp = zc.empirical_vs_bound(pot.bump_potential(0.3, 1.0), 1.0, "Theorem1",
+                                     n_radial=6, n_angular=14)
+        assert comp.n_determinant == 0
+        assert requested and len(assembled) == len(requested)
