@@ -226,8 +226,9 @@ def cmd_scan(cfg: RunConfig) -> int:
         row = [k.real, k.imag, scalarbounds._exp(lm + lp), float(np.angle(sm * sp)),
                scalarbounds._exp(lp)]
         if cfg.refine:
-            d, d_fine = ev.det_value(k), fine.det_value(k)
-            row.append(abs(d - d_fine) / max(abs(d_fine), 1e-300))
+            # |D / D_fine - 1| from the log forms, finite where |D| is not a double
+            (fm, flm), (fp, flp) = fine.factors(k, (-1.0, +1.0))
+            row.append(abs(sm * sp / (fm * fp) * scalarbounds._exp(lm + lp - flm - flp) - 1.0))
         return row
 
     with ThreadPoolExecutor(max_workers=max(cfg.threads, 1)) as pool:

@@ -16,7 +16,9 @@ form, which survives the huge dynamic range met on continuation contours.
 DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
 k-independent geometry and symmetry once, so assemblies at
-distinct k are independent and safe to run in parallel.
+distinct k are independent and safe to run in parallel.  It holds nothing
+n x n: stencils come from a k-d tree, and the kernel is evaluated once per
+distinct distance of the representative rows.
 """
 
 from __future__ import annotations
@@ -214,6 +216,8 @@ class BSAssembler:
     closed-form monopole/dipole ball moments.  This removes the dominant
     near-singularity quadrature error.  `reflections` holds the sign
     rows of the reflection group the grid and V admit (identity first).
+    `_rep_dist` holds the distinct distances of the representative rows,
+    `_rep_index` each entry's place among them.
     """
 
     N_NEIGHBORS = 14
@@ -223,8 +227,6 @@ class BSAssembler:
         self.ball_radius = determinant_ball_radius(p)
         self.nodes = np.asarray(nodes)
         self.weights = np.asarray(weights)
-        self.dist = cdist(self.nodes, self.nodes)
-        np.fill_diagonal(self.dist, 1.0)          # placeholder; diagonal is replaced
         self.vvals = p.value_fn(self.nodes)
         self.vw = self.vvals * self.weights
         center = np.asarray(p.center, dtype=float)
@@ -233,6 +235,7 @@ class BSAssembler:
                          np.where(self.node_rho > 0, self.node_rho, 1.0)[:, None])
         self._prepare_moment_stencils()
         self._prepare_blocks()
+        self._rep_dist, self._rep_index = self._distance_table(self._reps)
 
     def _prepare_moment_stencils(self):
         """Per-row neighbor sets and pseudo-inverses of the moment matrices.
@@ -243,26 +246,33 @@ class BSAssembler:
         keep the linear moments well posed.  The nearest nodes fill the
         stencil to N_NEIGHBORS, closed under distance ties: every node as
         near as the last one taken (to 1e-10 relative) joins, so mirror
-        rows get mirror stencils.  Rows are padded to one length with
-        their next-nearest nodes, masked out of the moments
-        (`stencil_mask` marks the real members).
+        rows get mirror stencils.  Candidates are each row's 3 N_NEIGHBORS
+        nearest nodes from a k-d tree plus its forced nodes, which can lie
+        beyond them.  Rows are padded to one length with their
+        next-nearest nodes, masked out of the moments (`stencil_mask`
+        marks the real members).
         """
         n = len(self.weights)
         m = min(self.N_NEIGHBORS, n)
         n_ang = self._n_angular_layout()
-        dist = self.dist.copy()
-        for shift in {0, n_ang, -n_ang}:     # forced nodes sort first
-            i = np.arange(max(0, -shift), min(n, n - shift))
-            dist[i, i + shift] = -1.0
+        own = np.arange(n)[:, None]
+        forced = own + np.array(sorted({0, n_ang, -n_ang}))[None, :]
+        inside = (forced >= 0) & (forced < n)
+        forced = np.where(inside, forced, own)
+        tree = cKDTree(self.nodes)
         for n_cand in (min(n, 3 * m), n):    # all n only if ties outrun 3m
-            nbr = np.argpartition(dist, n_cand - 1, axis=1)[:, :n_cand]
-            nd = np.take_along_axis(dist, nbr, axis=1)
+            near_d, near = tree.query(self.nodes, k=n_cand)
+            # forced nodes sort first; off-grid and repeated ones sort last
+            again = np.any(near[:, :, None] == forced[:, None, :], axis=2)
+            nbr = np.concatenate([forced, near], axis=1)
+            nd = np.concatenate([np.where(inside, -1.0, np.inf),
+                                 np.where(again, np.inf, near_d)], axis=1)
             order = np.argsort(nd, axis=1, kind="stable")
             nbr = np.take_along_axis(nbr, order, axis=1)
             nd = np.take_along_axis(nd, order, axis=1)
             cut = nd[:, m - 1] * (1.0 + 1e-10)
             n_real = np.sum(nd <= cut[:, None], axis=1)
-            if np.all(nd[:, -1] > cut):
+            if np.all(near_d[:, -1] > cut):
                 break
         width = int(np.max(n_real))
         self.nbr = nbr[:, :width]
@@ -323,20 +333,31 @@ class BSAssembler:
         self.block_sizes = [len(r) for _, r in kept]
         self.block_orbits = [(c, np.ix_(r, r)) for c, r in kept]   # (chi, its orbits)
 
+    def _distance_table(self, rows):
+        """The distinct distances from the given rows' nodes to every node,
+        and an int32 (rows, n) index into them."""
+        d = cdist(self.nodes[rows], self.nodes)
+        d[np.arange(len(rows)), rows] = 1.0       # placeholder; the diagonal is replaced
+        dist, index = np.unique(d, return_inverse=True)
+        return dist, index.reshape(d.shape).astype(np.int32)
+
     def matrix(self, k: complex, rows=None):
-        """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows."""
+        """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows;
+        the kernel is evaluated on the rows' distance table and gathered."""
         _check_strip(complex(k), self.potential, self.ball_radius)
         rows = np.arange(len(self.weights)) if rows is None else np.asarray(rows)
-        dist = self.dist[rows]
-        kern = np.exp(1j * k * dist) / (4.0 * np.pi * dist)
+        dist, index = ((self._rep_dist, self._rep_index) if np.array_equal(rows, self._reps)
+                       else self._distance_table(rows))
+        kern = (np.exp(1j * k * dist) / (4.0 * np.pi * dist))[index]
         kern[np.arange(len(rows)), rows] = 0.0
-        a = kern * self.vw[None, :]
         rho = self.node_rho[rows]
         s = ball_helmholtz_potential(k, rho, self.ball_radius)
         dip = ball_helmholtz_dipole(k, rho, self.ball_radius)
         kw = kern * self.weights[None, :]
         raw0 = kw.sum(axis=1)
         raw1 = kw @ self.nodes - raw0[:, None] * self.nodes[rows]
+        a = kern
+        a *= self.vw[None, :]       # in place: the kernel is not needed past here
         exact1 = self.node_hat[rows] * (dip - rho * s)[:, None]
         defect = np.empty((len(s), 4), dtype=complex)
         defect[:, 0] = s - raw0

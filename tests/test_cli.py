@@ -161,6 +161,26 @@ class TestScan:
         assert all("refine_rel_err" in r for r in rows)
         assert all(float(r["refine_rel_err"]) < 0.05 for r in rows)
 
+    def test_refine_finite_past_double_range(self, tmp_path, monkeypatch):
+        # |D| = e^800 on both grids is not a double; the relative error of
+        # the coarse grid against the fine one still is
+        def factors(ev, k, signs):
+            log_abs = 400.0 + 1e-3 * len(ev.assembler.weights) / 84
+            return [(1.0, log_abs) for _ in signs]
+
+        monkeypatch.setattr(fredholm.DeterminantEvaluator, "factors", factors)
+        cfg = _write_config(tmp_path, dict(BUMP_CFG, grid="6x14",
+                                           tolerances={"scan_points_per_side": 3}))
+        out = tmp_path / "out"
+        cli.main(["--config", cfg, "--out", str(out), "--refine",
+                  "--region=0.2,1,0.2,1.0", "scan"])
+        rows = list(csv.DictReader(open(out / "scan.csv")))
+        assert len(rows) == 9 and all(r["abs_D"] == "inf" for r in rows)
+        # 84 nodes against the fine grid's 9x14 = 126
+        want = abs(math.exp(2e-3 * (84 - 126) / 84) - 1.0)
+        assert all(float(r["refine_rel_err"]) == pytest.approx(want, rel=1e-9)
+                   for r in rows)
+
     def test_two_lus_per_admitted_k(self, tmp_path, monkeypatch):
         # one evaluator shared by more workers than cores, switching often:
         # every block of det(I - A) and of det(I + A) factored once per k,

@@ -111,6 +111,91 @@ class TestAssembly:
             assert got[i] == pytest.approx(complex(ref), rel=tol)
 
 
+def _skewed(p):
+    """p times a linear tilt in x, y and z: no reflection maps it onto itself."""
+    return dataclasses.replace(p, value_fn=lambda x: p.value_fn(x) *
+                               (1.0 + 0.3 * x[:, 0] + 0.2 * x[:, 1] + 0.1 * x[:, 2]))
+
+
+def _brute_force_stencils(nodes, n_dir):
+    """Each row's stencil member set from the full distance matrix: the row's
+    node and its radial neighbours (+-n_dir), then the nearest other nodes
+    up to N_NEIGHBORS, and every node as near as the last (1e-10 relative)."""
+    from scipy.spatial.distance import cdist
+    d = cdist(nodes, nodes)
+    n = len(d)
+    m = min(fr.BSAssembler.N_NEIGHBORS, n)
+    out = []
+    for i in range(n):
+        forced = {j for j in (i - n_dir, i, i + n_dir) if 0 <= j < n}
+        others = [j for j in np.argsort(d[i], kind="stable") if j not in forced]
+        cut = d[i, others[m - len(forced) - 1]] * (1.0 + 1e-10)
+        out.append(forced | {int(j) for j in others if d[i, j] <= cut})
+    return out
+
+
+def _arrays(obj):
+    """Every ndarray in obj, looking inside tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("grid,skew", [((2, 6), False), ((6, 14), False),
+                                           ((12, 38), False), ((16, 50), False),
+                                           ((12, 38), True)])
+    def test_stencils_match_brute_force(self, bump_unit, grid, skew):
+        p = _skewed(bump_unit) if skew else bump_unit
+        asm = fr.BSAssembler(p, *fr.build_grid(p, *grid))
+        ref = _brute_force_stencils(asm.nodes, len(asm.nodes) // grid[0])
+        for row, mask, want in zip(asm.nbr.tolist(), asm.stencil_mask, ref):
+            assert len(set(row)) == len(row)
+            assert set(np.asarray(row)[mask].tolist()) == want
+
+    @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
+    def test_kernel_table_matches_direct_form(self, bump_unit, grid, monkeypatch):
+        # the table changes how often the kernel is evaluated, not its values:
+        # plain entries are e^{ikd}/(4 pi d) V w at cdist's d, and every entry
+        # equals that of an assembly with one table slot per entry
+        from scipy.spatial.distance import cdist
+        asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, *grid))
+        n = len(asm.weights)
+        d = cdist(asm.nodes, asm.nodes)
+        plain = np.ones((n, n), dtype=bool)
+        plain[np.arange(n)[:, None], asm.nbr] = False
+
+        def every_entry(rows):
+            dr = d[rows].copy()
+            dr[np.arange(len(rows)), rows] = 1.0
+            return dr.ravel(), np.arange(dr.size).reshape(dr.shape)
+
+        direct = fr.BSAssembler(bump_unit, asm.nodes, asm.weights)
+        monkeypatch.setattr(direct, "_distance_table", every_entry)
+        for k in (0.7 + 0.4j, 1.3j, 0.2 - 0.05j):
+            a = asm.matrix(k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kern = np.exp(1j * k * d) / (4.0 * np.pi * d) * asm.vw[None, :]
+            np.testing.assert_allclose(a[plain], kern[plain], rtol=1e-14, atol=0)
+            ref = direct.matrix(k)
+            np.testing.assert_allclose(a, ref, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(asm.matrix(k, rows=asm._reps), ref[asm._reps],
+                                       rtol=1e-14, atol=0)
+
+    def test_no_attribute_holds_n_squared_entries(self, bump_unit):
+        # on a grid with reflections; without them every row is a representative
+        asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, 12, 38))
+        n = len(asm.weights)
+        # the representative rows' distances: far fewer values than entries
+        assert asm._rep_index.shape == (len(asm._reps), n)
+        assert len(asm._rep_dist) < asm._rep_index.size / 10
+        sizes = {name: arr.size for name, value in vars(asm).items()
+                 for arr in _arrays(value)}
+        assert max(sizes.values()) < n * n, sizes
+
+
 class TestHelmholtzMoments:
     def test_monopole_against_quadrature(self):
         k = 1.7 + 0.4j
@@ -236,9 +321,7 @@ class TestReflectionBlocks:
     def test_group_order_follows_the_potential(self, bump_unit):
         tilted = dataclasses.replace(
             bump_unit, value_fn=lambda x: bump_unit.value_fn(x) * (1.0 + 0.3 * x[:, 0]))
-        skew = dataclasses.replace(
-            bump_unit, value_fn=lambda x: bump_unit.value_fn(x) *
-            (1.0 + 0.3 * x[:, 0] + 0.2 * x[:, 1] + 0.1 * x[:, 2]))
+        skew = _skewed(bump_unit)
         orders = [len(fr.BSAssembler(p, *fr.build_grid(p, 12, 38)).reflections)
                   for p in (bump_unit, tilted, skew)]
         assert orders == [8, 4, 1]
