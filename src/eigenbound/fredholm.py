@@ -7,17 +7,18 @@ row's nearest nodes carry a local moment correction against the closed-form
 ball integrals of the free kernel.  Stencils are closed under distance
 ties, so A(k) commutes with the coordinate reflections that map the grid
 and V onto themselves: only its orbit-representative rows are assembled,
-folded into one block per character of their group (a grid or V without
-symmetry is the one-block case, A itself).  D(k) = det(I - A^2) is
-evaluated as det(I - A) det(I + A), each the product of the blocks'
-LU determinants, one per block at its own size, in log-magnitude + phase
-form, which survives the huge dynamic range met on continuation contours.
+in an orbit layout holding each column once, and folded into one block
+per character of their group (a grid or V without symmetry is the
+one-block case, A itself).  D(k) = det(I - A^2) is det(I - A) det(I + A),
+each the product of the blocks' LU determinants, one per block at its own
+size, in log-magnitude + phase form, which survives the huge dynamic
+range met on continuation contours.
 
 DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
-k-independent geometry and symmetry once, so assemblies at
-distinct k are independent and safe to run in parallel.  It holds nothing
-n x n: stencils come from a k-d tree, and the kernel is evaluated once per
+k-independent geometry and symmetry once, so assemblies at distinct k are
+independent and safe to run in parallel.  It holds nothing n x n:
+stencils come from a k-d tree, and the kernel is evaluated once per
 distinct distance of the representative rows.
 """
 
@@ -217,7 +218,7 @@ class BSAssembler:
     near-singularity quadrature error.  `reflections` holds the sign
     rows of the reflection group the grid and V admit (identity first).
     `_rep_dist` holds the distinct distances of the representative rows,
-    `_rep_index` each entry's place among them.
+    `_rep_index` each slot's place among them in the orbit layout `_slots`.
     """
 
     N_NEIGHBORS = 14
@@ -235,7 +236,7 @@ class BSAssembler:
                          np.where(self.node_rho > 0, self.node_rho, 1.0)[:, None])
         self._prepare_moment_stencils()
         self._prepare_blocks()
-        self._rep_dist, self._rep_index = self._distance_table(self._reps)
+        self._rep_dist, self._rep_index = self._distance_table(self._reps, self._slots)
 
     def _prepare_moment_stencils(self):
         """Per-row neighbor sets and pseudo-inverses of the moment matrices.
@@ -320,11 +321,12 @@ class BSAssembler:
                 raise RuntimeError(f"the reflection {tuple(s)} maps the stencil of row "
                                    f"{bad[0]} off the stencil of row {perm[bad[0]]}")
         self.reflections = signs
-        fixed = np.sum(perms == np.arange(n), axis=0)                # stabilizer orders
         self._reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
-        self._orbit_cols = perms[:, self._reps]                      # (h, s) -> column
-        self._short = np.flatnonzero(fixed > 1)
-        self._short_scale = 1.0 / fixed[self._short]
+        # slot (h, s) holds column perm_h(rep s), or -1 if an earlier slot does
+        slots = perms[:, self._reps].ravel()
+        _, first = np.unique(slots, return_index=True)
+        self._slots = np.full(len(slots), -1)
+        self._slots[first] = slots[first]
         subsets = (np.arange(8)[:, None] >> np.arange(3)) & 1     # chi(s) = prod s^t
         self._chars = np.unique(np.prod(signs ** subsets[:, None, :], axis=2), axis=0)
         stab = perms[:, self._reps] == self._reps                    # (h, s)
@@ -333,49 +335,53 @@ class BSAssembler:
         self.block_sizes = [len(r) for _, r in kept]
         self.block_orbits = [(c, np.ix_(r, r)) for c, r in kept]   # (chi, its orbits)
 
-    def _distance_table(self, rows):
-        """The distinct distances from the given rows' nodes to every node,
-        and an int32 (rows, n) index into them."""
+    def _distance_table(self, rows, cols=None):
+        """The distinct distances from the rows' nodes to every node, and an int32
+        index into them per slot of a column layout (-1: empty, one past the last)."""
+        cols = np.arange(len(self.weights)) if cols is None else cols
         d = cdist(self.nodes[rows], self.nodes)
         d[np.arange(len(rows)), rows] = 1.0       # placeholder; the diagonal is replaced
         dist, index = np.unique(d, return_inverse=True)
-        return dist, index.reshape(d.shape).astype(np.int32)
+        index = np.take(index.reshape(d.shape).astype(np.int32), cols, axis=1)
+        return dist, np.where(cols >= 0, index, np.int32(len(dist)))
 
-    def matrix(self, k: complex, rows=None):
-        """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows;
-        the kernel is evaluated on the rows' distance table and gathered."""
+    def matrix(self, k: complex, rows=None, cols=None):
+        """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows
+        in a layout of their columns: every column fills one slot, empty slots
+        (-1) hold 0, and the default is each column once, in order."""
         _check_strip(complex(k), self.potential, self.ball_radius)
-        rows = np.arange(len(self.weights)) if rows is None else np.asarray(rows)
-        dist, index = ((self._rep_dist, self._rep_index) if np.array_equal(rows, self._reps)
-                       else self._distance_table(rows))
-        kern = (np.exp(1j * k * dist) / (4.0 * np.pi * dist))[index]
-        kern[np.arange(len(rows)), rows] = 0.0
+        n = len(self.weights)
+        rows = np.arange(n) if rows is None else np.asarray(rows)
+        if cols is None:
+            cols, (dist, index) = np.arange(n), self._distance_table(rows)
+        elif np.array_equal(rows, self._reps) and np.array_equal(cols, self._slots):
+            dist, index = self._rep_dist, self._rep_index
+        else:
+            dist, index = self._distance_table(rows, cols)
+        slot = np.argsort(cols)[len(cols) - n:]            # each column's slot
+        a = np.append(np.exp(1j * k * dist) / (4.0 * np.pi * dist), 0.0)[index]
+        a[np.arange(len(rows)), slot[rows]] = 0.0     # the own node enters by its stencil
+        wx = self.weights[cols, None] * np.column_stack([np.ones(n), self.nodes])[cols]
+        raw = a @ wx                                        # empty slots hold 0
         rho = self.node_rho[rows]
         s = ball_helmholtz_potential(k, rho, self.ball_radius)
         dip = ball_helmholtz_dipole(k, rho, self.ball_radius)
-        kw = kern * self.weights[None, :]
-        raw0 = kw.sum(axis=1)
-        raw1 = kw @ self.nodes - raw0[:, None] * self.nodes[rows]
-        a = kern
-        a *= self.vw[None, :]       # in place: the kernel is not needed past here
+        a *= self.vw[cols]
+        raw0, raw1 = raw[:, 0], raw[:, 1:] - raw[:, :1] * self.nodes[rows]
         exact1 = self.node_hat[rows] * (dip - rho * s)[:, None]
-        defect = np.empty((len(s), 4), dtype=complex)
-        defect[:, 0] = s - raw0
-        defect[:, 1:] = (exact1 - raw1) / self.mom_scale[rows, None]
+        defect = np.column_stack([s - raw0, (exact1 - raw1) / self.mom_scale[rows, None]])
         delta = np.einsum("nmf,nf->nm", self.mom_pinv[rows], defect)
         nbr = self.nbr[rows]
         # each row's stencil columns are distinct, so a plain fancy-index
-        # add updates every (row, col) pair once
-        a[np.arange(len(rows))[:, None], nbr] += delta * self.vvals[nbr]
+        # add updates every (row, slot) pair once
+        a[np.arange(len(rows))[:, None], slot[nbr]] += delta * self.vvals[nbr]
         return a
 
     def blocks(self, k: complex):
         """The character sums M_chi[r, s] of A(k) over all orbit representatives
-        r, s from their rows alone, (n_char, n_rep, n_rep); see block_orbits."""
-        a = self.matrix(k, rows=self._reps)
-        a[:, self._short] *= self._short_scale      # each orbit member once
-        orbits = np.take(a, self._orbit_cols, axis=1)               # (r, h, s)
-        # chi-sums as one real matmul over the group axis, (re, im) pairs
+        r, s, (n_char, n_rep, n_rep): the characters times the orbit layout."""
+        a = self.matrix(k, rows=self._reps, cols=self._slots)
+        orbits = a.reshape(len(self._reps), len(self.reflections), len(self._reps))
         sums = np.matmul(self._chars, orbits.view(float)).view(complex)
         return sums.transpose(1, 0, 2)
 

@@ -86,16 +86,10 @@ def angular_rule(n_angular):
     n_t = max(2, int(np.ceil(np.sqrt(n_angular / 2.0))))
     ct, wt = leggauss(n_t)          # cos(theta) in [-1, 1]
     phi = 2.0 * np.pi * (np.arange(2 * n_t) + 0.5) / (2 * n_t)
-    st = np.sqrt(1.0 - ct ** 2)
-    dirs = np.empty((n_t * 2 * n_t, 3))
-    w = np.empty(n_t * 2 * n_t)
-    idx = 0
-    for i in range(n_t):
-        for ph in phi:
-            dirs[idx] = (st[i] * np.cos(ph), st[i] * np.sin(ph), ct[i])
-            w[idx] = wt[i] / (2.0 * 2 * n_t)
-            idx += 1
-    return dirs, w
+    st = np.sqrt(1.0 - ct ** 2)[:, None]
+    dirs = np.column_stack([(st * np.cos(phi)).ravel(), (st * np.sin(phi)).ravel(),
+                            np.repeat(ct, 2 * n_t)])                 # theta-major
+    return dirs, np.repeat(wt / (2.0 * 2 * n_t), 2 * n_t)
 
 
 def radial_rule(r_lo, r_hi, n):

@@ -14,7 +14,8 @@ The integrator is scipy's DOP853 (Dormand-Prince 8(5,3), rtol 1e-10,
 atol 1e-40) ported to run a whole batch of k at once: each k keeps its
 own radius, step size and error control, so a value computed in a batch
 agrees with the same k computed alone to rounding.  Each sweep of the
-argument-principle tracker is one batch.
+argument-principle tracker is one batch, and each step evaluates V once,
+at every k's stage radii.
 
 This path never touches the 3-D Nystrom machinery, which is what makes
 it usable as an oracle for it.
@@ -101,17 +102,14 @@ def _integrate_inward(rp: RadialProblem, k, y):
     k2 = k * k
     r = np.full(k.size, float(rp.r_max))
 
-    def rhs(r, y):
-        q = rp.profile(r) - k2
+    def rhs(v, r, y):          # (u', u'') at radius r, where V(r) = v
+        q = v - k2
         if cl:
             q += cl / (r * r)
-        f = np.empty_like(y)
-        f[0] = y[1]
-        np.multiply(q, y[0], out=f[1])
-        return f
+        return np.stack([y[1], q * y[0]])
 
     # initial step: scipy's select_initial_step, integrating towards smaller r
-    f = rhs(r, y)
+    f = rhs(rp.profile(r), r, y)
     span = rp.r_max - _R_MIN
     sc_re, sc_im = _ATOL + np.abs(y.real) * _RTOL, _ATOL + np.abs(y.imag) * _RTOL
     d0 = np.sqrt(_sum_sq(y, sc_re, sc_im) / 4.0)
@@ -119,7 +117,8 @@ def _integrate_inward(rp: RadialProblem, k, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
-    d2 = np.sqrt(_sum_sq(rhs(r - h0, y - h0 * f) - f, sc_re, sc_im) / 4.0) / h0
+    r0 = r - h0
+    d2 = np.sqrt(_sum_sq(rhs(rp.profile(r0), r0, y - h0 * f) - f, sc_re, sc_im) / 4.0) / h0
     with np.errstate(divide="ignore"):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
@@ -139,12 +138,15 @@ def _integrate_inward(rp: RadialProblem, k, y):
         r_new = np.maximum(r - h_abs, _R_MIN)
         h = r_new - r
         h_abs = -h
+        # the step's radii, stages 1..n_st-1 then r + h: one profile call
+        rs = np.concatenate([r + _C[1:n_st, None] * h, (r + h)[None]])
+        vs = rp.profile(rs.ravel()).reshape(rs.shape)
         K = np.empty(y.shape + (n_st + 1,), dtype=complex)     # stages last
         K[..., 0] = f
         for s in range(1, n_st):
-            K[..., s] = rhs(r + _C[s] * h, y + h * np.dot(K[..., :s], _A[s, :s]))
+            K[..., s] = rhs(vs[s - 1], rs[s - 1], y + h * np.dot(K[..., :s], _A[s, :s]))
         y_new = y + h * np.dot(K[..., :n_st], _B)
-        f_new = K[..., n_st] = rhs(r + h, y_new)
+        f_new = K[..., n_st] = rhs(vs[-1], rs[-1], y_new)
         sc_re = _ATOL + np.maximum(np.abs(y.real), np.abs(y_new.real)) * _RTOL
         sc_im = _ATOL + np.maximum(np.abs(y.imag), np.abs(y_new.imag)) * _RTOL
         e5 = _sum_sq(np.dot(K, _E5), sc_re, sc_im)

@@ -385,18 +385,16 @@ def _ball_weighted_l1(p: Potential, eps, radius, n_radial, n_angular, center):
 
 
 def _kato_inner(p: Potential, xs, n_radial, n_angular, extent):
-    """int |V(y)|/|x-y| d3y for each row x of xs, singularity removed."""
+    """int |V(y)|/|x-y| d3y for each row x of xs, singularity removed: the
+    distance from x runs over [0, |x - c| + extent], one radial rule per
+    row, and every row is evaluated in one pass."""
     dirs, wa = grids.angular_rule(n_angular)
     xs = np.atleast_2d(xs)
-    out = np.empty(len(xs))
-    c = np.asarray(p.center)
-    for i, x in enumerate(xs):
-        r_hi = np.linalg.norm(x - c) + extent
-        r, wr = grids.radial_rule(0.0, r_hi, n_radial)
-        pts = x[None, None, :] + r[:, None, None] * dirs[None, :, :]
-        vals = np.abs(p.value_fn(pts.reshape(-1, 3))).reshape(len(r), len(dirs))
-        out[i] = 4.0 * np.pi * float(np.einsum("i,ij,j->", wr * r, vals, wa))
-    return out
+    r_hi = np.linalg.norm(xs - np.asarray(p.center), axis=1) + extent
+    r, wr = grids.radial_rule(0.0, r_hi[:, None], n_radial)       # (row, node)
+    pts = xs[:, None, None, :] + r[:, :, None, None] * dirs[None, None, :, :]
+    vals = np.abs(p.value_fn(pts.reshape(-1, 3))).reshape(r.shape + (len(dirs),))
+    return 4.0 * np.pi * np.einsum("pi,pij,j->p", wr * r, vals, wa)
 
 
 def measure_functionals(p: Potential, eps: float,

@@ -117,6 +117,11 @@ def _skewed(p):
                                (1.0 + 0.3 * x[:, 0] + 0.2 * x[:, 1] + 0.1 * x[:, 2]))
 
 
+def _tilted(p):
+    """p times a linear tilt in x: only the reflections fixing x map it onto itself."""
+    return dataclasses.replace(p, value_fn=lambda x: p.value_fn(x) * (1.0 + 0.3 * x[:, 0]))
+
+
 def _brute_force_stencils(nodes, n_dir):
     """Each row's stencil member set from the full distance matrix: the row's
     node and its radial neighbours (+-n_dir), then the nearest other nodes
@@ -155,6 +160,21 @@ class TestGeometry:
             assert len(set(row)) == len(row)
             assert set(np.asarray(row)[mask].tolist()) == want
 
+    def test_stencils_fall_back_to_every_node(self, bump_unit):
+        # a centre node inside a 48-point O_h shell: all 48 tie at its
+        # 14th-nearest distance, more than the 3 N_NEIGHBORS candidates
+        # the k-d tree is asked for first, so every node is a candidate
+        shell = np.array([p for s in itertools.product((1.0, -1.0), repeat=3)
+                          for p in itertools.permutations(np.array([0.1, 0.2, 0.3]) * s)])
+        nodes = np.vstack([np.zeros(3), shell])
+        assert len(np.unique(shell, axis=0)) == 48 > 3 * fr.BSAssembler.N_NEIGHBORS
+        asm = fr.BSAssembler(bump_unit, nodes, np.full(len(nodes), 0.01))
+        ref = _brute_force_stencils(asm.nodes, 0)
+        assert len(ref[0]) == 49
+        for row, mask, want in zip(asm.nbr.tolist(), asm.stencil_mask, ref):
+            assert len(set(row)) == len(row)
+            assert set(np.asarray(row)[mask].tolist()) == want
+
     @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
     def test_kernel_table_matches_direct_form(self, bump_unit, grid, monkeypatch):
         # the table changes how often the kernel is evaluated, not its values:
@@ -189,7 +209,7 @@ class TestGeometry:
         asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, 12, 38))
         n = len(asm.weights)
         # the representative rows' distances: far fewer values than entries
-        assert asm._rep_index.shape == (len(asm._reps), n)
+        assert asm._rep_index.shape == (len(asm._reps), len(asm._slots))
         assert len(asm._rep_dist) < asm._rep_index.size / 10
         sizes = {name: arr.size for name, value in vars(asm).items()
                  for arr in _arrays(value)}
@@ -317,6 +337,33 @@ class TestReflectionBlocks:
             for sign, (phase, log_abs) in zip((-1.0, 1.0), ev.factors(k, (-1.0, 1.0))):
                 s, ref = np.linalg.slogdet(np.eye(len(a)) + sign * a)
                 assert abs(phase / s * np.exp(log_abs - ref) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("grid,tilt", [((12, 38), False), ((16, 50), False),
+                                           ((12, 38), True)])
+    def test_blocks_are_the_character_fold_of_the_matrix(self, bump_unit, grid, tilt):
+        # M_chi[r, s] = sum of chi(g) A[r, g(s)] over the distinct members
+        # g(s) of s's orbit, each once however many g map s there
+        p = _tilted(bump_unit) if tilt else bump_unit
+        asm = fr.BSAssembler(p, *fr.build_grid(p, *grid))
+        perms = _reflection_perms(asm, asm.reflections)
+        reps = asm._reps
+        assert any(len({int(perm[s]) for perm in perms}) < len(perms) for s in reps)
+        for k in (0.8 + 0.6j, 0.5 - 0.05j):
+            a = asm.matrix(k)[reps]
+            sums = asm.blocks(k)
+            # the layout's table built for other rows gives the same entries
+            np.testing.assert_allclose(asm.matrix(k, reps[::-1], asm._slots)[::-1],
+                                       asm.matrix(k, reps, asm._slots), rtol=1e-14, atol=0)
+            for c, index in asm.block_orbits:
+                ref = np.zeros((len(reps), len(reps)), dtype=complex)
+                for col, s in enumerate(reps):
+                    members = {}
+                    for chi, perm in zip(asm._chars[c], perms):
+                        members.setdefault(int(perm[s]), chi)
+                    for j, chi in members.items():
+                        ref[:, col] += chi * a[:, j]
+                want = ref[index]
+                assert np.max(np.abs(sums[c][index] - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_group_order_follows_the_potential(self, bump_unit):
         tilted = dataclasses.replace(

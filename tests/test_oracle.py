@@ -1,10 +1,11 @@
 """Radial partial-wave oracle: Jost values, thresholds, channel counting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from eigenbound import oracle as orc
 from eigenbound import potentials as pot
@@ -153,6 +154,20 @@ class TestBatch:
             orc.jost_like_value(rp, np.array([1j, -1.0 - 0.5j]))
         with pytest.raises(StiffIntegration, match="k=0"):
             orc.jost_like_value(rp, np.array([1j, 1000j]))
+
+    def test_one_profile_call_per_step(self):
+        # after the two calls that choose the first step, each step asks for
+        # V at all of its radii at once: the 11 stage radii past r and r + h
+        rp = _jost_channel(self.M5, 1)
+        sizes = []
+
+        def profile(r):
+            sizes.append(np.size(r))
+            return rp.profile(r)
+
+        orc.jost_like_value(dataclasses.replace(rp, profile=profile), 0.5 + 1.0j)
+        assert sizes[:2] == [1, 1] and len(sizes) > 10
+        assert set(sizes[2:]) == {len(DOP853.B)}
 
     def test_family_profile_matches_value_fn(self):
         p = pot.screened_coulomb_potential(-37.0, 1.0, 0.25, 0.05, center=(0.2, 0.0, 0.0))
