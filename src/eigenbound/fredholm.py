@@ -5,14 +5,14 @@ is discretized on a spherical product grid; entry (i,j) is
 e^{ik|x_i-x_j|}/(4 pi |x_i-x_j|) V(x_j) w_j off the stencils, and each
 row's nearest nodes carry a local moment correction against the closed-form
 ball integrals of the free kernel.  Stencils are closed under distance
-ties, so A(k) commutes with the coordinate reflections that map the grid
-and V onto themselves: only its orbit-representative rows are assembled,
-in an orbit layout holding each column once, and folded into one block
-per character of their group (a grid or V without symmetry is the
-one-block case, A itself).  D(k) = det(I - A^2) is det(I - A) det(I + A),
-each the product of the blocks' LU determinants, one per block at its own
-size, in log-magnitude + phase form, which survives the huge dynamic
-range met on continuation contours.
+ties, so A(k) commutes with the rotations about the z axis through V's
+centre and that axis's mirror that map the grid and V onto themselves:
+only its orbit-representative rows are assembled, in an orbit layout
+holding each column once, and folded into one block per character of
+their group (a grid or V without symmetry is one block, A itself).
+D(k) = det(I - A^2) is det(I - A) det(I + A), each the product of the
+blocks' LU determinants, one per block at its own size, in log-magnitude
++ phase form, which survives the huge dynamic range on continuation contours.
 
 DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
@@ -24,12 +24,12 @@ distinct distance of the representative rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
+from scipy.spatial.transform import Rotation
 
 from . import grids
 from .errors import ContinuationOutOfStrip, NonConvergent, TooManyTerms
@@ -215,8 +215,8 @@ class BSAssembler:
     nearest nodes are adjusted (minimum-norm) so that the row integrates
     const and linear functions times the kernel exactly, using the
     closed-form monopole/dipole ball moments.  This removes the dominant
-    near-singularity quadrature error.  `reflections` holds the sign
-    rows of the reflection group the grid and V admit (identity first).
+    near-singularity quadrature error.  `symmetries` holds the 3 x 3 matrices
+    of the group the grid and V admit (rotation^a mirror^b at b m + a).
     `_rep_dist` holds the distinct distances of the representative rows,
     `_rep_index` each slot's place among them in the orbit layout `_slots`.
     """
@@ -294,43 +294,57 @@ class BSAssembler:
         return count if count > 1 and len(rho) % count == 0 else 0
 
     def _prepare_blocks(self):
-        """Keep each reflection x -> c + s (x - c) that maps the nodes onto
-        themselves (to 1e-12 of the ball radius) and fixes V w and w (to
-        1e-12 of their largest entry), and check that each maps every
-        stencil onto its image's.  Over orbit representatives r, s
-        (least index per orbit), the block of a character chi holds the
-        orbits whose stabilizer lies in ker chi, with entries
-        M_chi[r, s] = sum_{j in orbit(s)} chi(g_j) A[r, j]."""
+        """G = C_m x <z -> -z> about V's centre: the rotations by multiples of 2 pi/m
+        about the z axis and the mirror z -> -z that map the nodes onto themselves
+        (to 1e-12 of the ball radius) and fix V w and w (to 1e-12 of their largest
+        entry), m the largest divisor of the node count on the ring farthest from
+        the axis that does; both generators must map every stencil onto its image's.
+        The block of chi(a, b) = e^{2 pi i ja/m} (-1)^{pb} holds the orbits whose
+        stabilizer lies in ker chi: M_chi[r, s] = sum_{j in orbit(s)} chi(g_j) A[r, j]."""
         n = len(self.weights)
         rel = self.nodes - np.asarray(self.potential.center, dtype=float)
         tree = cKDTree(rel)
-        signs, perms = [], []
-        for s in itertools.product((1.0, -1.0), repeat=3):
-            img = tree.query(rel * s, distance_upper_bound=1e-12 * self.ball_radius)[1]
-            if np.array_equal(np.sort(img), np.arange(n)) and all(
-                    np.max(np.abs(v[img] - v)) <= 1e-12 * np.max(np.abs(v))
-                    for v in (self.vw, self.weights)):
-                signs.append(s)
-                perms.append(img)
-        signs, perms = np.array(signs), np.array(perms)
         own = np.sort(np.where(self.stencil_mask, self.nbr, n), axis=1)
-        for s, perm in zip(signs, perms):
-            image = np.sort(np.where(self.stencil_mask, perm[self.nbr], n), axis=1)
-            bad = np.flatnonzero(np.any(image != own[perm], axis=1))
+
+        def perm(mat):
+            """mat's node permutation, or None if it moves the nodes, V w or w."""
+            img = tree.query(rel @ mat.T, distance_upper_bound=1e-12 * self.ball_radius)[1]
+            if not np.array_equal(np.sort(img), np.arange(n)) or any(
+                    np.max(np.abs(v[img] - v)) > 1e-12 * np.max(np.abs(v))
+                    for v in (self.vw, self.weights)):
+                return None
+            image = np.sort(np.where(self.stencil_mask, img[self.nbr], n), axis=1)
+            bad = np.flatnonzero(np.any(image != own[img], axis=1))
             if len(bad):
-                raise RuntimeError(f"the reflection {tuple(s)} maps the stencil of row "
-                                   f"{bad[0]} off the stencil of row {perm[bad[0]]}")
-        self.reflections = signs
+                raise RuntimeError(f"the symmetry {mat.round(12).tolist()} maps the stencil "
+                                   f"of row {bad[0]} off the stencil of row {img[bad[0]]}")
+            return img
+
+        axis, z = np.hypot(rel[:, 0], rel[:, 1]), rel[:, 2]
+        far = np.argmax(axis)
+        ring = np.sum(np.hypot(axis - axis[far], z - z[far]) <= 1e-9 * self.ball_radius)
+        for m in (d for d in range(ring, 0, -1) if ring % d == 0):   # m = 1 always maps
+            turn = perm(Rotation.from_euler("z", 2.0 * np.pi / m).as_matrix())
+            if turn is not None:
+                break
+        flip = perm(np.diag([1.0, 1.0, -1.0]))
+        perms = [np.arange(n)]
+        for _ in range(m - 1):
+            perms.append(turn[perms[-1]])
+        # element (a, b) = rotation^a mirror^b, and chi_{a,b}, sit at b m + a
+        perms = np.array(perms + ([] if flip is None else [flip[p] for p in perms]))
+        b, a = np.divmod(np.arange(len(perms)), m)
+        self.symmetries = Rotation.from_euler("z", 2.0 * np.pi * a[:, None] / m).as_matrix()
+        self.symmetries[:, 2, 2] = (-1.0) ** b
         self._reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
         # slot (h, s) holds column perm_h(rep s), or -1 if an earlier slot does
         slots = perms[:, self._reps].ravel()
         _, first = np.unique(slots, return_index=True)
         self._slots = np.full(len(slots), -1)
         self._slots[first] = slots[first]
-        subsets = (np.arange(8)[:, None] >> np.arange(3)) & 1     # chi(s) = prod s^t
-        self._chars = np.unique(np.prod(signs ** subsets[:, None, :], axis=2), axis=0)
+        self._chars = np.exp(2j * np.pi * (np.outer(a, a) % m) / m) * (-1.0) ** np.outer(b, b)
         stab = perms[:, self._reps] == self._reps                    # (h, s)
-        keep = ~np.any(stab[None, :, :] & (self._chars[:, :, None] < 0), axis=1)
+        keep = ~np.any(stab[None] & (np.abs(self._chars - 1.0) > 1e-9)[:, :, None], axis=1)
         kept = [(c, np.flatnonzero(row)) for c, row in enumerate(keep) if row.any()]
         self.block_sizes = [len(r) for _, r in kept]
         self.block_orbits = [(c, np.ix_(r, r)) for c, r in kept]   # (chi, its orbits)
@@ -338,12 +352,13 @@ class BSAssembler:
     def _distance_table(self, rows, cols=None):
         """The distinct distances from the rows' nodes to every node, and an int32
         index into them per slot of a column layout (-1: empty, one past the last)."""
-        cols = np.arange(len(self.weights)) if cols is None else cols
         d = cdist(self.nodes[rows], self.nodes)
         d[np.arange(len(rows)), rows] = 1.0       # placeholder; the diagonal is replaced
         dist, index = np.unique(d, return_inverse=True)
-        index = np.take(index.reshape(d.shape).astype(np.int32), cols, axis=1)
-        return dist, np.where(cols >= 0, index, np.int32(len(dist)))
+        index = index.reshape(d.shape).astype(np.int32)
+        if cols is not None:
+            index = np.where(cols >= 0, np.take(index, cols, axis=1), np.int32(len(dist)))
+        return dist, index
 
     def matrix(self, k: complex, rows=None, cols=None):
         """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows
@@ -381,9 +396,8 @@ class BSAssembler:
         """The character sums M_chi[r, s] of A(k) over all orbit representatives
         r, s, (n_char, n_rep, n_rep): the characters times the orbit layout."""
         a = self.matrix(k, rows=self._reps, cols=self._slots)
-        orbits = a.reshape(len(self._reps), len(self.reflections), len(self._reps))
-        sums = np.matmul(self._chars, orbits.view(float)).view(complex)
-        return sums.transpose(1, 0, 2)
+        orbits = a.reshape(len(self._reps), len(self.symmetries), len(self._reps))
+        return np.matmul(self._chars, orbits).transpose(1, 0, 2)
 
 
 def _slogdet_shifted(blocks, sign):

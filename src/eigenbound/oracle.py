@@ -102,14 +102,16 @@ def _integrate_inward(rp: RadialProblem, k, y):
     k2 = k * k
     r = np.full(k.size, float(rp.r_max))
 
-    def rhs(v, r, y):          # (u', u'') at radius r, where V(r) = v
+    def rhs(v, r, y, out):     # (u', u'') at radius r, where V(r) = v, into out
         q = v - k2
         if cl:
             q += cl / (r * r)
-        return np.stack([y[1], q * y[0]])
+        out[0] = y[1]
+        np.multiply(q, y[0], out=out[1])
+        return out
 
     # initial step: scipy's select_initial_step, integrating towards smaller r
-    f = rhs(rp.profile(r), r, y)
+    f = rhs(rp.profile(r), r, y, np.empty_like(y))
     span = rp.r_max - _R_MIN
     sc_re, sc_im = _ATOL + np.abs(y.real) * _RTOL, _ATOL + np.abs(y.imag) * _RTOL
     d0 = np.sqrt(_sum_sq(y, sc_re, sc_im) / 4.0)
@@ -117,8 +119,8 @@ def _integrate_inward(rp: RadialProblem, k, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
-    r0 = r - h0
-    d2 = np.sqrt(_sum_sq(rhs(rp.profile(r0), r0, y - h0 * f) - f, sc_re, sc_im) / 4.0) / h0
+    f0 = rhs(rp.profile(r - h0), r - h0, y - h0 * f, np.empty_like(y))
+    d2 = np.sqrt(_sum_sq(f0 - f, sc_re, sc_im) / 4.0) / h0
     with np.errstate(divide="ignore"):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** (-_ERR_EXP))
@@ -144,9 +146,9 @@ def _integrate_inward(rp: RadialProblem, k, y):
         K = np.empty(y.shape + (n_st + 1,), dtype=complex)     # stages last
         K[..., 0] = f
         for s in range(1, n_st):
-            K[..., s] = rhs(vs[s - 1], rs[s - 1], y + h * np.dot(K[..., :s], _A[s, :s]))
+            rhs(vs[s - 1], rs[s - 1], y + h * np.dot(K[..., :s], _A[s, :s]), K[..., s])
         y_new = y + h * np.dot(K[..., :n_st], _B)
-        f_new = K[..., n_st] = rhs(vs[-1], rs[-1], y_new)
+        f_new = rhs(vs[-1], rs[-1], y_new, K[..., n_st])
         sc_re = _ATOL + np.maximum(np.abs(y.real), np.abs(y_new.real)) * _RTOL
         sc_im = _ATOL + np.maximum(np.abs(y.imag), np.abs(y_new.imag)) * _RTOL
         e5 = _sum_sq(np.dot(K, _E5), sc_re, sc_im)

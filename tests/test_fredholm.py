@@ -301,42 +301,49 @@ class TestDeterminant:
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
 
 
-def _reflection_perms(asm, signs):
-    """Node permutation of each reflection x -> s x, found independently."""
+def _reflection_perms(asm, mats):
+    """Node permutation of each symmetry x -> c + g (x - c) about V's centre c,
+    given by its 3 x 3 matrix g, found independently."""
     from scipy.spatial.distance import cdist
-    return [np.argmin(cdist(asm.nodes * s, asm.nodes), axis=1) for s in signs]
+    rel = asm.nodes - np.asarray(asm.potential.center)
+    return [np.argmin(cdist(rel @ g.T, rel), axis=1) for g in mats]
 
 
-ALL_REFLECTIONS = [np.array(s) for s in itertools.product((1.0, -1.0), repeat=3)]
+ALL_REFLECTIONS = [np.diag(s) for s in itertools.product((1.0, -1.0), repeat=3)]
 
 
 class TestReflectionBlocks:
     @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
     def test_matrix_is_equivariant(self, bump_unit, grid):
-        # A[g(i), g(j)] = A[i, j] for all eight reflections, which map these
-        # grids onto themselves and fix the centred bump
+        # A[g(i), g(j)] = A[i, j] for all eight reflections and the
+        # assembler's own rotation generator, which map these grids onto
+        # themselves and fix the centred bump
         asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, *grid))
         a = asm.matrix(0.7 + 0.4j)
-        for perm in _reflection_perms(asm, ALL_REFLECTIONS):
+        for perm in _reflection_perms(asm, ALL_REFLECTIONS + [asm.symmetries[1]]):
             assert np.max(np.abs(a[np.ix_(perm, perm)] - a)) < 1e-10 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
     def test_stencils_map_onto_images(self, bump_unit, grid):
         asm = fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, *grid))
         real = [set(np.asarray(row)[m].tolist()) for row, m in zip(asm.nbr, asm.stencil_mask)]
-        for perm in _reflection_perms(asm, ALL_REFLECTIONS):
+        for perm in _reflection_perms(asm, ALL_REFLECTIONS + [asm.symmetries[1]]):
             for i, st in enumerate(real):
                 assert {int(perm[j]) for j in st} == real[perm[i]]
 
     @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
     def test_block_product_matches_full_slogdet(self, bump_unit, grid):
-        ev = fr.DeterminantEvaluator(bump_unit, *grid)
-        assert len(ev.assembler.block_sizes) == 8
-        for k in (0.8 + 0.6j, 0.5 - 0.05j):
-            a = ev.assembler.matrix(k)
-            for sign, (phase, log_abs) in zip((-1.0, 1.0), ev.factors(k, (-1.0, 1.0))):
-                s, ref = np.linalg.slogdet(np.eye(len(a)) + sign * a)
-                assert abs(phase / s * np.exp(log_abs - ref) - 1.0) < 1e-12
+        # one block per element of C_4h (12x38) or C_10 x <z -> -z> (16x50),
+        # also for a complex bump off the origin, rotated about its own centre
+        off_centre = pot.bump_potential(-1.0 + 0.5j, 2.0, (0.3, -0.2, 0.1))
+        for p in (bump_unit, off_centre):
+            ev = fr.DeterminantEvaluator(p, *grid)
+            assert len(ev.assembler.block_sizes) == {(12, 38): 8, (16, 50): 20}[grid]
+            for k in (0.8 + 0.6j, 0.5 - 0.05j):
+                a = ev.assembler.matrix(k)
+                for sign, (phase, log_abs) in zip((-1.0, 1.0), ev.factors(k, (-1.0, 1.0))):
+                    s, ref = np.linalg.slogdet(np.eye(len(a)) + sign * a)
+                    assert abs(phase / s * np.exp(log_abs - ref) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("grid,tilt", [((12, 38), False), ((16, 50), False),
                                            ((12, 38), True)])
@@ -345,7 +352,7 @@ class TestReflectionBlocks:
         # g(s) of s's orbit, each once however many g map s there
         p = _tilted(bump_unit) if tilt else bump_unit
         asm = fr.BSAssembler(p, *fr.build_grid(p, *grid))
-        perms = _reflection_perms(asm, asm.reflections)
+        perms = _reflection_perms(asm, asm.symmetries)
         reps = asm._reps
         assert any(len({int(perm[s]) for perm in perms}) < len(perms) for s in reps)
         for k in (0.8 + 0.6j, 0.5 - 0.05j):
@@ -369,9 +376,11 @@ class TestReflectionBlocks:
         tilted = dataclasses.replace(
             bump_unit, value_fn=lambda x: bump_unit.value_fn(x) * (1.0 + 0.3 * x[:, 0]))
         skew = _skewed(bump_unit)
-        orders = [len(fr.BSAssembler(p, *fr.build_grid(p, 12, 38)).reflections)
+        orders = [len(fr.BSAssembler(p, *fr.build_grid(p, 12, 38)).symmetries)
                   for p in (bump_unit, tilted, skew)]
-        assert orders == [8, 4, 1]
+        assert orders == [8, 2, 1]
+        # a product rule with n_t = 3 polar nodes: C_6 x <z -> -z>
+        assert len(fr.BSAssembler(bump_unit, *fr.build_grid(bump_unit, 6, 18)).symmetries) == 12
         # the trivial group is the one-block case: the full matrix itself
         asm = fr.BSAssembler(skew, *fr.build_grid(skew, 12, 38))
         blocks = asm.blocks(0.8 + 0.6j)
