@@ -2,7 +2,8 @@
 
 Subcommands
     bounds          constants, radius and multiplicity bounds as JSON
-    scan            |D|, arg D, |det(I+A)| over a k-grid as CSV
+    scan            |D|, arg D, |det(I+A)| over a k-grid as CSV (NaN rows
+                    outside the continuation strip)
     count           locate determinant zeros in a region
     verify          run the inequality suite; nonzero exit on violation
     compare-oracle  radial oracle count vs 3-D pipeline vs bound
@@ -33,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from . import fredholm, kernel, oracle, potentials, scalarbounds, zerocount
-from .errors import EigenboundError, ConfigError, QuadratureNotConverged, NonConvergent
+from .errors import (ConfigError, ContinuationOutOfStrip, EigenboundError,
+                     NonConvergent, QuadratureNotConverged)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -73,40 +75,23 @@ def _complex_from_json(v):
 
 
 def load_potential(spec: dict) -> potentials.Potential:
+    """The potential of a config's spec: potentials.FAMILIES[family] called
+    with its parameters and center; a name the family does not take, a
+    missing parameter or a value it rejects is a ConfigError."""
+    family = spec.get("family") if isinstance(spec, dict) else None
+    if not isinstance(family, str) or family not in potentials.FAMILIES:
+        raise ConfigError(f"potential 'family' must be one of "
+                          f"{sorted(potentials.FAMILIES)}, got {family!r}")
     try:
-        family = spec["family"]
-    except (KeyError, TypeError):
-        raise ConfigError("potential spec needs a 'family' field")
-    params = dict(spec.get("parameters", {}))
-    center = tuple(spec.get("center", (0.0, 0.0, 0.0)))
-    if family == "zero":
-        return potentials.zero_potential()
-    if family == "bump":
-        return potentials.bump_potential(
-            _complex_from_json(params.get("v0", 1.0)),
-            float(params.get("radius", 1.0)), center)
-    if family == "gaussian":
-        return potentials.gaussian_potential(
-            _complex_from_json(params.get("v0", 1.0)),
-            float(params.get("width", 1.0)), center,
-            params.get("envelope_eps"))
-    if family == "mollified_exponential":
-        return potentials.mollified_exponential_potential(
-            _complex_from_json(params.get("v0", 1.0)),
-            float(params.get("rate", 1.0)), params.get("smoothing"), center)
-    if family == "screened_coulomb":
-        return potentials.screened_coulomb_potential(
-            _complex_from_json(params.get("v0", 1.0)),
-            float(params.get("rate", 1.0)),
-            float(params.get("core_radius", 0.25)),
-            float(params.get("smoothing", 0.05)), center)
-    if family == "tabulated":
-        if "radii" not in params or "values" not in params:
-            raise ConfigError("tabulated potential needs 'radii' and 'values'")
-        values = [_complex_from_json(v) for v in params["values"]]
-        return potentials.tabulated_potential(params["radii"], values, center=center)
-    raise ConfigError(f"unknown potential family {family!r}; "
-                      f"known: {sorted(potentials.FAMILIES)}")
+        params = dict(spec.get("parameters", {}))
+        if "v0" in params:
+            params["v0"] = _complex_from_json(params["v0"])
+        if "values" in params:
+            params["values"] = [_complex_from_json(v) for v in params["values"]]
+        return potentials.FAMILIES[family](
+            **params, center=tuple(spec.get("center", (0.0, 0.0, 0.0))))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"potential family {family!r}: {exc}")
 
 
 def load_config(args) -> RunConfig:
@@ -214,15 +199,15 @@ def cmd_scan(cfg: RunConfig) -> int:
           for im in np.linspace(im0, im1, n_side)
           for re in np.linspace(re0, re1, n_side)]
     p = cfg.potential
-    strip_floor = -math.inf if p.is_compact else -p.decay_class.eps / 4.0
     ev = fredholm.DeterminantEvaluator(p, cfg.n_radial, cfg.n_angular)
     fine = (fredholm.DeterminantEvaluator(p, cfg.n_radial + cfg.n_radial // 2,
                                           cfg.n_angular) if cfg.refine else None)
 
     def one(k):
-        if k == 0 or k.imag <= strip_floor:
+        try:
+            (sm, lm), (sp, lp) = ev.factors(k, (-1.0, +1.0))
+        except ContinuationOutOfStrip:
             return [k.real, k.imag] + [math.nan] * (4 if cfg.refine else 3)
-        (sm, lm), (sp, lp) = ev.factors(k, (-1.0, +1.0))
         row = [k.real, k.imag, scalarbounds._exp(lm + lp), float(np.angle(sm * sp)),
                scalarbounds._exp(lp)]
         if cfg.refine:

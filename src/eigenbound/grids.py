@@ -8,6 +8,8 @@ surface integral over the unit sphere is 4*pi*sum(w*f).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -15,62 +17,35 @@ _SQ3 = 1.0 / np.sqrt(3.0)
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 
-def _octahedron():
+def _orbit(values):
+    """Every sign choice of the tuple values, placed on every set of
+    len(values) axes (increasing axis order), as unit-sphere points."""
     pts = []
-    for i in range(3):
-        for s in (1.0, -1.0):
-            v = [0.0, 0.0, 0.0]
-            v[i] = s
+    for axes in itertools.combinations(range(3), len(values)):
+        for signs in itertools.product((1.0, -1.0), repeat=len(values)):
+            v = np.zeros(3)
+            v[list(axes)] = np.multiply(signs, values)
             pts.append(v)
     return np.array(pts)
 
 
-def _cube_corners():
-    return np.array([[sx * _SQ3, sy * _SQ3, sz * _SQ3]
-                     for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
-
-
-def _edge_midpoints():
-    pts = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for si in (1, -1):
-            for sj in (1, -1):
-                v = [0.0, 0.0, 0.0]
-                v[i] = si * _SQ2
-                v[j] = sj * _SQ2
-                pts.append(v)
-    return np.array(pts)
-
-
-def _pq0_points(p, q):
-    pts = []
-    for a, b in ((p, q), (q, p)):
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0.0, 0.0, 0.0]
-                    v[i] = si * a
-                    v[j] = sj * b
-                    pts.append(v)
-    return np.array(pts)
-
-
 def _lebedev(n):
+    octahedron, cube = _orbit((1.0,)), _orbit((_SQ3,) * 3)
     if n == 6:
-        return _octahedron(), np.full(6, 1.0 / 6.0)
+        return octahedron, np.full(6, 1.0 / 6.0)
     if n == 14:
-        dirs = np.vstack([_octahedron(), _cube_corners()])
+        dirs = np.vstack([octahedron, cube])
         w = np.concatenate([np.full(6, 1.0 / 15.0), np.full(8, 3.0 / 40.0)])
         return dirs, w
     if n == 26:
-        dirs = np.vstack([_octahedron(), _edge_midpoints(), _cube_corners()])
+        dirs = np.vstack([octahedron, _orbit((_SQ2, _SQ2)), cube])
         w = np.concatenate([np.full(6, 1.0 / 21.0), np.full(12, 4.0 / 105.0),
                             np.full(8, 9.0 / 280.0)])
         return dirs, w
     if n == 38:
         p = np.sqrt((1.0 - _SQ3) / 2.0)
         q = np.sqrt((1.0 + _SQ3) / 2.0)
-        dirs = np.vstack([_octahedron(), _cube_corners(), _pq0_points(p, q)])
+        dirs = np.vstack([octahedron, cube, _orbit((p, q)), _orbit((q, p))])
         w = np.concatenate([np.full(6, 1.0 / 105.0), np.full(8, 9.0 / 280.0),
                             np.full(24, 1.0 / 35.0)])
         return dirs, w

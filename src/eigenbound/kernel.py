@@ -182,8 +182,9 @@ def _frame(x, y):
     return 0.5 * (x + y), e, e1, e2
 
 
-def ellipsoid_max_grad(p: Potential, x, y, r, n_theta: int = 32, n_phi: int = 64):
-    """max |grad V| over the surface E(x,y,r), sampled + one polish step.
+def ellipsoid_max_grad(p: Potential, x, y, r):
+    """max |grad V| over the surface E(x,y,r), sampled on a 33 x 64 (theta,
+    phi) grid + one polish step.
 
     The polish fits a parabola through the argmax and its grid neighbors
     in each angle (a Newton step on the sampled quadratic model).
@@ -202,6 +203,7 @@ def ellipsoid_max_grad(p: Potential, x, y, r, n_theta: int = 32, n_phi: int = 64
         pts = surf(np.atleast_1d(theta), np.atleast_1d(phi))
         return np.linalg.norm(np.abs(p.grad_fn(pts)), axis=-1)
 
+    n_theta, n_phi = 32, 64
     theta = np.linspace(0.0, np.pi, n_theta + 1)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     tg, pg = np.meshgrid(theta, phi, indexing="ij")
@@ -216,8 +218,7 @@ def ellipsoid_max_grad(p: Potential, x, y, r, n_theta: int = 32, n_phi: int = 64
             return t0
         return t0 - 0.5 * (fp - fm) / den * (tp - t0)
 
-    dth = theta[1] - theta[0] if n_theta > 0 else 0.1
-    dph = phi[1] - phi[0] if n_phi > 1 else 0.1
+    dph = phi[1] - phi[0]
     t_im, t_ip = theta[max(i - 1, 0)], theta[min(i + 1, n_theta)]
     f_im = vals[max(i - 1, 0), j]
     f_ip = vals[min(i + 1, n_theta), j]

@@ -227,24 +227,25 @@ def _radial_profile(p: Potential):
     return profile
 
 
-def assert_radial(p: Potential, n_checks: int = 24, tol: float = 1e-8):
-    """Reject potentials that vary over spheres around their center."""
+def assert_radial(p: Potential):
+    """Reject potentials that vary by more than 1e-8 relative over spheres
+    around their center (six directions on five spheres)."""
     rng_dirs = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
                          [0.6, 0.8, 0], [0, -0.6, 0.8], [-0.48, 0.6, 0.64]])
     rng_dirs = rng_dirs / np.linalg.norm(rng_dirs, axis=1)[:, None]
     c = np.asarray(p.center)
-    radii = np.linspace(0.15, 0.95, n_checks // 6 + 1) * p.truncation_radius
+    radii = np.linspace(0.15, 0.95, 5) * p.truncation_radius
     for r in radii:
         vals = p.value_fn(c[None, :] + r * rng_dirs)
-        if np.max(np.abs(vals - vals[0])) > tol * max(1e-12, float(np.max(np.abs(vals)))):
+        if np.max(np.abs(vals - vals[0])) > 1e-8 * max(1e-12, float(np.max(np.abs(vals)))):
             raise ValueError("potential is not radially symmetric about its center")
 
 
-def max_r2_potential(p: Potential, n: int = 4000) -> float:
+def max_r2_potential(p: Potential) -> float:
     """sup_r r^2 |V(r)|: channels with l(l+1) above it cannot bind (pointwise
     centrifugal domination l(l+1)/r^2 >= |V(r)|)."""
     profile = _radial_profile(p)
-    r = np.linspace(0.0, p.truncation_radius, n)[1:]
+    r = np.linspace(0.0, p.truncation_radius, 4000)[1:]
     return float(np.max(r * r * np.abs(profile(r))))
 
 

@@ -120,11 +120,10 @@ def _radial_potential(profile, dprofile, decay_class, trunc, center, family, par
                      tuple(center), family, dict(params), profile)
 
 
-def zero_potential():
+def zero_potential(center=(0.0, 0.0, 0.0)):
     return _radial_potential(lambda r: np.zeros_like(r, dtype=complex),
                              lambda r: np.zeros_like(r, dtype=complex),
-                             CompactSupport(1.0), 1.0, (0.0, 0.0, 0.0),
-                             "zero", {})
+                             CompactSupport(1.0), 1.0, center, "zero", {})
 
 
 def bump_potential(v0=1.0, radius=1.0, center=(0.0, 0.0, 0.0)):
@@ -260,6 +259,9 @@ def tabulated_potential(radii, values, decay_class=None, center=(0.0, 0.0, 0.0))
         return out
 
     dc = decay_class if decay_class is not None else CompactSupport(r_max)
+    if not isinstance(dc, (CompactSupport, ExponentialDecay)):
+        raise TypeError(f"decay_class must be CompactSupport or ExponentialDecay, "
+                        f"got {dc!r}")
     trunc = dc.support_radius if isinstance(dc, CompactSupport) else r_max
     return _radial_potential(profile, dprofile, dc, trunc, center,
                              "tabulated", {"n_samples": len(radii)})
@@ -268,8 +270,9 @@ def tabulated_potential(radii, values, decay_class=None, center=(0.0, 0.0, 0.0))
 # ---------------------------------------------------------------------------
 # envelope and truncation helpers
 
-def _fit_envelope_amp(profile, dprofile, eps, center, safety=1.0 + 1e-6):
-    """Smallest amp (with safety) so the declared envelope dominates V and grad V.
+def _fit_envelope_amp(profile, dprofile, eps, center):
+    """Smallest amp (with a 1e-6 relative safety) so the declared envelope
+    dominates V and grad V.
 
     Scans a dense radial grid; the envelope weight uses distance from the
     origin, so an off-origin center inflates amp by up to e^{eps|center|}.
@@ -282,18 +285,18 @@ def _fit_envelope_amp(profile, dprofile, eps, center, safety=1.0 + 1e-6):
     v = np.abs(profile(r_local))
     g = np.abs(dprofile(r_local))
     amp = max(float(np.max(v * w)), float(np.max(g * w)) / eps)
-    return amp * safety
+    return amp * (1.0 + 1e-6)
 
 
-def _exp_truncation_radius(eps, amp, center_norm=0.0, tol=1e-10):
-    """Smallest rho with the envelope tail below tol relative to a crude L1."""
+def _exp_truncation_radius(eps, amp, center_norm=0.0):
+    """Smallest rho with the envelope tail below 1e-10 of a crude L1."""
     l1_rough = max(4.0 * math.pi * amp * 2.0 / eps ** 3, 1e-300)
     rho = 5.0 / eps
     for _ in range(80):
         tail = 4.0 * math.pi * amp * math.exp(-eps * rho) * \
             (rho ** 2 / eps + 2 * rho / eps ** 2 + 2 / eps ** 3) * \
             math.exp(eps * center_norm)
-        if tail <= tol * l1_rough:
+        if tail <= 1e-10 * l1_rough:
             break
         rho *= 1.15
     return rho
@@ -333,15 +336,15 @@ def _tail_rate(p: Potential, spec):
     return math.log(m1 / m2) / (r2 - r1)
 
 
-def _weighted_ball_radius(p: Potential, eps, rate_hat, tol=1e-10):
-    """Radius making the weighted-integrand tail negligible."""
+def _weighted_ball_radius(p: Potential, eps, rate_hat):
+    """Radius making the weighted-integrand tail negligible (below 1e-10)."""
     alpha = rate_hat - eps
     rho_t = p.truncation_radius
     rho = max(1.25 * rho_t, rho_t + 5.0 / alpha)
     for _ in range(200):
         tail_factor = math.exp(-alpha * (rho - rho_t)) * (rho / rho_t) ** 2 * \
             (1.0 / (alpha * rho_t) + 1.0)
-        if tail_factor <= tol:
+        if tail_factor <= 1e-10:
             break
         rho *= 1.1
     return rho
@@ -485,8 +488,9 @@ def measure_functionals(p: Potential, eps: float,
         quadrature_error_estimate=err, eps=eps, decay_kind=decay_kind)
 
 
-def validate_decay_hypothesis(p: Potential, n_samples: int = 4096) -> DecayReport:
-    """Check the declared envelope |V| <= amp e^{-eps|x|}, |grad V| <= eps amp e^{-eps|x|}.
+def validate_decay_hypothesis(p: Potential) -> DecayReport:
+    """Check the declared envelope |V| <= amp e^{-eps|x|}, |grad V| <= eps amp e^{-eps|x|}
+    at 4096 sample points.
 
     Raises HypothesisViolated when either sampled ratio exceeds 1 + 1e-9.
     """
@@ -494,7 +498,7 @@ def validate_decay_hypothesis(p: Potential, n_samples: int = 4096) -> DecayRepor
         raise HypothesisViolated("potential is not declared ExponentialDecay")
     eps, amp = p.decay_class.eps, p.decay_class.amp
     scan_r = p.truncation_radius + 3.0 / eps
-    pts = grids.ball_sample(scan_r, n_samples, p.center, seed=0)
+    pts = grids.ball_sample(scan_r, 4096, p.center, seed=0)
     wt = np.exp(eps * np.linalg.norm(pts, axis=-1))
     rv = np.abs(p.value_fn(pts)) * wt / amp
     rg = np.linalg.norm(np.abs(p.grad_fn(pts)), axis=-1) * wt / (eps * amp)

@@ -550,14 +550,14 @@ def count_bounds(fn: PotentialFunctionals, mode: str = "auto",
 _MP_TERM_LIMIT = 5_000_000
 
 
-def mp_f_series(a, dps: int = 50):
-    """f(a) in software floats; independent evaluation for oracle cross-checks.
+def mp_f_series(a):
+    """f(a) in 50-digit software floats; independent evaluation for oracle cross-checks.
 
     The terms peak near n = e a^2, so an a whose sum needs more than
     5e6 terms raises NonConvergent at once instead of summing them.
     """
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(50):
         a = mp.mpf(a)
         if a < 0:
             raise ValueError("f is defined for a >= 0")
@@ -572,7 +572,7 @@ def mp_f_series(a, dps: int = 50):
             s += t
             t *= a * mp.power(1 + mp.mpf(1) / n, mp.mpf(n) / 2) / mp.sqrt(n + 1)
             n += 1
-            if t < mp.mpf(10) ** (-dps) * s:
+            if t < mp.mpf(10) ** -50 * s:
                 s += t
                 break
         else:
@@ -581,12 +581,12 @@ def mp_f_series(a, dps: int = 50):
         return +s
 
 
-def mp_h_eps(eps, s, dps: int = 50):
-    """h_eps(s) in software floats: t = e^x with x + eps e^x = ln s, which
+def mp_h_eps(eps, s):
+    """h_eps(s) in 50-digit software floats: t = e^x with x + eps e^x = ln s, which
     stays well scaled for s far past the double range (Newton on a convex
     increasing function of x)."""
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(50):
         eps, s = mp.mpf(eps), mp.mpf(s)
         if s == 0:
             return mp.mpf(0)

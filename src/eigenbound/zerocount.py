@@ -7,9 +7,10 @@ its half steps stay below pi/2 and meet the Ying-Katz sufficient
 sampling condition, so the accumulated argument change is an exact
 multiple of 2 pi for an analytic nonvanishing-on-contour function.  A
 batched function (the radial oracle) gets each sweep in one call; the
-3-D determinant is evaluated one k at a time.  locate_zeros subdivides a
-rectangle until each box isolates one zero (then Newton polish) or
-reaches the minimum box size (then a cluster entry with the boxed
+3-D determinant is evaluated one k at a time.  locate_zeros cuts a
+rectangle in two across its longer side until Newton from a box's centre
+lands inside that box (a polished zero, reported by the box that holds
+it) or the box reaches the minimum size (a cluster entry with the boxed
 multiplicity).  jensen_bound evaluates the Nevanlinna-Jensen averaged
 count numerically.
 """
@@ -23,6 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from . import fredholm, potentials, scalarbounds
 from .errors import (CenterIsZero, ContinuationOutOfStrip, NonConvergent,
                      ZeroOnContour)
 
@@ -33,6 +35,8 @@ _BOX_DEPTH = 14
 _MAX_BOXES = 4000
 # empirical_vs_bound: boxes this small are reported as clusters
 _MIN_BOX = 5e-3
+# winding_number: phase-tracking depth
+_CIRCLE_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,6 @@ class ContourSpec:
     center: complex
     radius: float
     n_samples_initial: int = 64
-    refinement_limit: int = 16
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -201,7 +204,7 @@ def winding_number(fn: Callable[[complex], complex], contour: ContourSpec) -> in
     """Zeros enclosed by the circle, by the argument principle."""
     gamma = lambda t: contour.center + contour.radius * np.exp(2j * math.pi * t)
     return _winding(_phase_track(fn, gamma, contour.n_samples_initial,
-                                 contour.refinement_limit)[0])
+                                 _CIRCLE_DEPTH)[0])
 
 
 def _fmt_box(box):
@@ -306,152 +309,151 @@ class _SplitFailed(Exception):
     """No fraction of the ladder splits a box into children adding up to it."""
 
 
-def locate_zeros(fn, region, min_box: float) -> ZeroCountResult:
-    """Quadtree zero search over region = (re0, re1, im0, im1) in the k-plane.
+def _newton(fn, z, scale, mult):
+    """Newton's z -> z - mult f/f' from z with a differenced derivative.
 
-    Boxes with winding one are polished by Newton with a differenced
-    derivative; clusters that cannot be split above min_box are reported
-    with their boxed multiplicity and box-diagonal uncertainty.  A Newton
-    step out of fn's domain (ContinuationOutOfStrip) ends that attempt
-    like any other Newton failure.  Children always partition their
-    parent exactly; a zero landing on a split line (or windings failing to
-    add up to the parent's) retries the split at the next fraction of a
-    deterministic ladder, so nothing is counted twice or lost.  When no
-    fraction certifies a box, its parent re-partitions at its own next
-    fraction, which also moves the box's outer edges (one of them may pass
-    through a zero), and the abandoned subtree's zeros are discarded.
-    Midpoint splits come first because sibling edges then share memoized
-    samples.  Every give-up names the box, the windings and the smallest
-    |f| met on the contours.
+    Returns (root, |last step|), or None when 40 steps do not converge or
+    a step leaves fn's domain (ContinuationOutOfStrip).  It converges
+    quadratically to a mult-fold zero (exactly degenerate clusters, e.g.
+    the 2l+1 copies of a radial eigenvalue, behave as one such zero).
+    """
+    h = 1e-5 * scale
+    try:
+        for _ in range(40):
+            f0 = fn(z)
+            d = (fn(z + h) - fn(z - h)) / (2.0 * h)
+            if d == 0:
+                return None
+            step = mult * f0 / d
+            z = z - step
+            if abs(step) < 1e-11 * max(abs(z), scale):
+                return z, abs(step)
+    except ContinuationOutOfStrip:
+        pass
+    return None
+
+
+def _root_winding(fn, box, flags):
+    """(winding, box) of the search region, widened a little at each retry
+    while its contour passes through a zero."""
+    last = None
+    for j, _ in enumerate(_SPLIT_FRACTIONS):
+        dx = (box[1] - box[0]) * 0.011 * j
+        dy = (box[3] - box[2]) * 0.013 * j
+        trial = (box[0] - dx, box[1] + dx, box[2] - dy, box[3] + dy)
+        if j > 0:
+            flags["jitter_used"] += 1
+        try:
+            return _box_winding(fn, trial, _BOX_N0, _BOX_DEPTH)[0], trial
+        except ZeroOnContour as exc:
+            last = exc
+    raise last
+
+
+def _resolve(fn, box, w, where, min_box, flags):
+    """The zeros in box, whose winding is w; where says how box was reached."""
+    flags["boxes"] += 1
+    if flags["boxes"] > _MAX_BOXES:
+        raise NonConvergent(f"subdivision exceeded the budget of {_MAX_BOXES} "
+                            f"boxes at box {_fmt_box(box)}, {where}")
+    if w == 0:
+        return []
+    x0, x1, y0, y1 = box
+    bx, by = x1 - x0, y1 - y0
+    diag = math.hypot(bx, by)
+    mid = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    root = _newton(fn, mid, max(diag, min_box), w)
+    # a root inside the closed box is one of the box's own zeros; a
+    # multiplicity-w fixed point is only trusted once a tight neighborhood
+    # carries the full winding w (a cluster of distinct zeros fails this
+    # and falls back to subdivision)
+    if root is not None and x0 <= root[0].real <= x1 and y0 <= root[0].imag <= y1:
+        z, step = root
+        ok = w == 1
+        if not ok:
+            try:
+                ok = _box_winding(
+                    fn, (z.real - 0.02 * bx, z.real + 0.02 * bx,
+                         z.imag - 0.02 * by, z.imag + 0.02 * by),
+                    max(6, _BOX_N0 // 2), _BOX_DEPTH)[0] == w
+            except ZeroOnContour:
+                ok = False
+        if ok:
+            return [ZeroLocation(z, z * z, w, step)]
+    flags["newton_fallbacks"] += 1
+    if max(bx, by) <= min_box:
+        return [ZeroLocation(mid, mid * mid, w, diag)]
+    tried = []
+    deeper = None
+    for j, fr in enumerate(_SPLIT_FRACTIONS):
+        if j > 0:
+            flags["jitter_used"] += 1
+        if bx >= by:
+            xm = x0 + fr * bx
+            children = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
+        else:
+            ym = y0 + fr * by
+            children = [(x0, x1, y0, ym), (x0, x1, ym, y1)]
+        found = []
+        try:
+            for c in children:
+                found.append(_box_winding(fn, c, _BOX_N0, _BOX_DEPTH))
+        except ZeroOnContour as exc:
+            tried.append(f"fraction {fr}: {exc}")
+            continue
+        except NonConvergent as exc:
+            raise NonConvergent(
+                f"{exc}, splitting box {_fmt_box(box)} (winding {w}) at fraction "
+                f"{fr}, sibling windings {[wc for wc, _ in found]}") from None
+        ws = [wc for wc, _ in found]
+        min_f = min(m for _, m in found)
+        if sum(ws) != w:
+            tried.append(f"fraction {fr}: child windings {ws}, min |f| {min_f:.3g}")
+            continue
+        try:
+            return [zl for c, wc in zip(children, ws) if wc
+                    for zl in _resolve(fn, c, wc, f"winding {wc} of {ws} splitting "
+                                       f"winding {w}, min |f| {min_f:.3g}",
+                                       min_box, flags)]
+        except _SplitFailed as exc:
+            deeper = deeper or exc
+    if deeper is not None:
+        raise deeper
+    raise _SplitFailed(f"box {_fmt_box(box)} with winding {w} has no certified "
+                       f"split: " + "; ".join(tried))
+
+
+def locate_zeros(fn, region, min_box: float) -> ZeroCountResult:
+    """Bisection zero search over region = (re0, re1, im0, im1) in the k-plane.
+
+    A box with winding w is polished by a multiplicity-w Newton with a
+    differenced derivative from its centre.  The root counts only if it
+    lies in the closed box, so each zero is reported by the box that
+    holds it, once; its uncertainty is Newton's last step.  Otherwise the
+    box is cut in two across its longer side, down to min_box, below
+    which it is reported as a cluster with its boxed multiplicity and
+    box-diagonal uncertainty.  A Newton step out of fn's domain
+    (ContinuationOutOfStrip) ends that attempt like any other Newton
+    failure.  Children always partition their parent exactly; a zero
+    landing on a cut (or windings failing to add up to the parent's)
+    retries the cut at the next fraction of a deterministic ladder, so
+    nothing is counted twice or lost.  When no fraction certifies a box,
+    its parent re-partitions at its own next fraction, which also moves
+    the box's outer edges (one of them may pass through a zero), and the
+    abandoned subtree's zeros are discarded.  Midpoint cuts come first
+    because sibling edges then share memoized samples.  Every give-up
+    names the box, the windings and the smallest |f| met on the contours.
     """
     fn = _Memo(fn)
-    x0, x1, y0, y1 = map(float, region)
     flags = {"jitter_used": 0, "newton_fallbacks": 0, "boxes": 0}
-
-    def newton(z, scale, mult=1):
-        # z -> z - mult f/f' converges quadratically to a mult-fold zero
-        # (exactly degenerate clusters, e.g. the 2l+1 copies of a radial
-        # eigenvalue, behave as one such zero)
-        h = 1e-5 * scale
-        try:
-            for _ in range(40):
-                f0 = fn(z)
-                d = (fn(z + h) - fn(z - h)) / (2.0 * h)
-                if d == 0:
-                    return None
-                step = mult * f0 / d
-                z = z - step
-                if abs(step) < 1e-11 * max(abs(z), scale):
-                    return z
-        except ContinuationOutOfStrip:
-            pass
-        return None
-
-    def root_winding(box):
-        last = None
-        for j, _ in enumerate(_SPLIT_FRACTIONS):
-            dx = (box[1] - box[0]) * 0.011 * j
-            dy = (box[3] - box[2]) * 0.013 * j
-            trial = (box[0] - dx, box[1] + dx, box[2] - dy, box[3] + dy)
-            if j > 0:
-                flags["jitter_used"] += 1
-            try:
-                return _box_winding(fn, trial, _BOX_N0, _BOX_DEPTH)[0], trial
-            except ZeroOnContour as exc:
-                last = exc
-        raise last
-
-    def resolve(box, w, where):
-        """The zeros in box, whose winding is w; where says how box was reached."""
-        flags["boxes"] += 1
-        if flags["boxes"] > _MAX_BOXES:
-            raise NonConvergent(f"subdivision exceeded the budget of {_MAX_BOXES} "
-                                f"boxes at box {_fmt_box(box)}, {where}")
-        if w == 0:
-            return []
-        bx = box[1] - box[0]
-        by = box[3] - box[2]
-        diag = math.hypot(bx, by)
-        z = newton(complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3])),
-                   max(diag, min_box), mult=w)
-        slack = 0.02 * diag
-        if z is not None and (box[0] - slack <= z.real <= box[1] + slack and
-                              box[2] - slack <= z.imag <= box[3] + slack):
-            # a multiplicity-w Newton fixed point is only trusted once a
-            # tight neighborhood carries the full winding w (a cluster of
-            # distinct zeros fails this and falls back to subdivision)
-            ok = w == 1
-            if not ok:
-                try:
-                    ok = _box_winding(
-                        fn, (z.real - 0.02 * bx, z.real + 0.02 * bx,
-                             z.imag - 0.02 * by, z.imag + 0.02 * by),
-                        max(6, _BOX_N0 // 2), _BOX_DEPTH)[0] == w
-                except ZeroOnContour:
-                    ok = False
-            if ok:
-                return [ZeroLocation(z, z * z, w, abs(fn(z)))]
-        flags["newton_fallbacks"] += 1
-        if max(bx, by) <= min_box:
-            z = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
-            return [ZeroLocation(z, z * z, w, diag)]
-        tried = []
-        deeper = None
-        for j, fr in enumerate(_SPLIT_FRACTIONS):
-            if j > 0:
-                flags["jitter_used"] += 1
-            xm = box[0] + fr * (box[1] - box[0])
-            ym = box[2] + fr * (box[3] - box[2])
-            children = [(box[0], xm, box[2], ym), (xm, box[1], box[2], ym),
-                        (box[0], xm, ym, box[3]), (xm, box[1], ym, box[3])]
-            found = []
-            try:
-                for c in children:
-                    found.append(_box_winding(fn, c, _BOX_N0, _BOX_DEPTH))
-            except ZeroOnContour as exc:
-                tried.append(f"fraction {fr}: {exc}")
-                continue
-            except NonConvergent as exc:
-                raise NonConvergent(
-                    f"{exc}, splitting box {_fmt_box(box)} (winding {w}) at fraction "
-                    f"{fr}, sibling windings {[wc for wc, _ in found]}") from None
-            ws = [wc for wc, _ in found]
-            min_f = min(m for _, m in found)
-            if sum(ws) != w:
-                tried.append(f"fraction {fr}: child windings {ws}, min |f| {min_f:.3g}")
-                continue
-            try:
-                return [zl for c, wc in zip(children, ws) if wc
-                        for zl in resolve(c, wc, f"winding {wc} of {ws} splitting "
-                                          f"winding {w}, min |f| {min_f:.3g}")]
-            except _SplitFailed as exc:
-                deeper = deeper or exc
-        if deeper is not None:
-            raise deeper
-        raise _SplitFailed(f"box {_fmt_box(box)} with winding {w} has no certified "
-                           f"split: " + "; ".join(tried))
-
-    w_root, root = root_winding((x0, x1, y0, y1))
+    w_root, root = _root_winding(fn, tuple(map(float, region)), flags)
     try:
-        zeros = resolve(root, w_root, f"root winding {w_root}")
+        zeros = _resolve(fn, root, w_root, f"root winding {w_root}", min_box, flags)
     except _SplitFailed as exc:
         raise ZeroOnContour(f"{exc} (every enclosing box was re-partitioned "
                             f"without success)") from None
-    finally:
-        # resolve calls itself through its closure; break that cycle so fn
-        # (a determinant evaluator holding dense grid arrays) is freed on
-        # return rather than at the next cyclic garbage collection
-        resolve = None
-
-    # merge duplicates: Newton from adjacent boxes can land on the same zero
-    merged: List[ZeroLocation] = []
-    tol = max(min_box * 0.25, 1e-9 * max(abs(x0), abs(x1), abs(y0), abs(y1), 1.0))
-    for z in sorted(zeros, key=lambda zl: (zl.k.real, zl.k.imag)):
-        if merged and abs(z.k - merged[-1].k) < tol and z.multiplicity == 1 \
-                and merged[-1].multiplicity == 1:
-            continue
-        merged.append(z)
-    result = ZeroCountResult(int(w_root or 0), merged, resolution_flags=flags)
+    zeros.sort(key=lambda zl: (zl.k.real, zl.k.imag))
+    result = ZeroCountResult(w_root, zeros, resolution_flags=flags)
     flags["count_consistent"] = (result.total_multiplicity == result.winding)
     return result
 
@@ -491,7 +493,7 @@ def _is_real_potential(p):
     return scale == 0.0 or float(np.max(np.abs(v.imag))) < 1e-13 * scale
 
 
-def default_search_region(p, fn, eps, pad: float = 1.1):
+def default_search_region(p, fn, eps):
     """k-plane rectangle covering every possible eigenvalue momentum.
 
     For real V, -Delta+V is self-adjoint and its discrete spectrum lies in
@@ -513,19 +515,20 @@ def default_search_region(p, fn, eps, pad: float = 1.1):
     """
     lam_max = max(fn.linf_norm, 1e-9)
     if _is_real_potential(p):
-        kmax = math.sqrt(lam_max) * pad + 0.2
+        kmax = math.sqrt(lam_max) * 1.1 + 0.2
         margin = max(min(eps / 8.0, 0.05 * kmax), 5e-3)
         half_w = max(0.35, 0.04 * kmax)
         # 1.7% left-right asymmetry: dyadic subdivision lines then never
         # land on the imaginary axis, where all the zeros live
         return (-1.017 * half_w, half_w, margin, kmax + margin)
-    kmax = math.sqrt(math.sqrt(2.0) * lam_max) * pad + 0.1
+    kmax = math.sqrt(math.sqrt(2.0) * lam_max) * 1.1 + 0.1
     margin = max(min(eps / 8.0, 0.05 * kmax), 5e-3)
     return (-1.017 * kmax, kmax, margin, kmax + margin)
 
 
 def empirical_vs_bound(p, eps: float, mode: str,
-                       n_radial: int = 12, n_angular: int = 38,
+                       n_radial: int = fredholm.DEFAULT_GRID[0],
+                       n_angular: int = fredholm.DEFAULT_GRID[1],
                        region=None, quad=None) -> EmpiricalComparison:
     """Locate determinant zeros and compare the counts with the theorem bound.
 
@@ -537,7 +540,6 @@ def empirical_vs_bound(p, eps: float, mode: str,
     N_emp(V) <= N_D <= n_bound.  Each k is assembled once: the det(I + A)
     search factors both signs there.
     """
-    from . import fredholm, potentials, scalarbounds
     fn = potentials.measure_functionals(p, eps, quad)
     report = scalarbounds.count_bounds(fn, mode)[2]
     if region is None:

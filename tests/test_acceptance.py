@@ -246,6 +246,11 @@ class TestCriterion5Counting:
         p, comp, rc = sweep_complex
         assert comp.n_empirical_plus == rc.total == 1
         assert comp.n_empirical_plus <= comp.n_determinant
+        # each zero is reported once, by the box that holds it
+        for p, comp, rc in (sweep_m0, sweep_m1, sweep_m2, sweep_m5, sweep_complex):
+            ks = [z.k for z in comp.zeros_plus]
+            assert all(abs(a - b) > 1e-6 for i, a in enumerate(ks) for b in ks[i + 1:]), \
+                f"det(I+A) zeros within 1e-6 of each other: {ks}"
         dt = time.perf_counter() - t0
         _report("5a counting sweep m in {0,1,2,5} + complex", True, f"({dt:.1f} s)")
 

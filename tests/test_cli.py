@@ -39,8 +39,15 @@ class TestConfig:
         assert "line" in capsys.readouterr().err
 
     def test_unknown_family(self, tmp_path):
-        cfg = _write_config(tmp_path, {"potential": {"family": "pineapple"}})
-        assert cli.main(["--config", cfg, "bounds"]) == cli.EXIT_CONFIG
+        # also: a parameter name the family does not take, a missing
+        # parameter, and values the family rejects
+        for spec in ({"family": "pineapple"},
+                     {"family": "bump", "parameters": {"v0": -1.0, "radus": 3.0}},
+                     {"family": "tabulated", "parameters": {"radii": [0.0, 1.0]}},
+                     {"family": "tabulated", "parameters": {"radii": [0.0, 0.5, 1.0],
+                                                            "values": [1.0, 0.0]}}):
+            cfg = _write_config(tmp_path, {"potential": spec, "eps": 1.0})
+            assert cli.main(["--config", cfg, "bounds"]) == cli.EXIT_CONFIG
 
     def test_missing_eps_for_exponential(self, tmp_path):
         cfg = _write_config(tmp_path, {
@@ -123,23 +130,28 @@ class TestBounds:
 
 class TestScan:
     def test_grid_and_strip_markers(self, tmp_path):
-        cfg = _write_config(tmp_path, dict(
-            BUMP_CFG,
-            potential={"family": "mollified_exponential",
-                       "parameters": {"v0": 0.2, "rate": 1.0}},
-            eps=0.5, grid="6x14",
-            tolerances={"scan_points_per_side": 5}))
-        out = tmp_path / "out"
-        rc = cli.main(["--config", cfg, "--out", str(out),
-                       "--region=-1,1,-0.4,1.0", "scan"])
-        assert rc == cli.EXIT_OK
-        rows = list(csv.DictReader(open(out / "scan.csv")))
-        assert len(rows) == 25
-        below = [r for r in rows if float(r["im_k"]) <= -0.25]
-        assert below and all(r["abs_D"] == "nan" for r in below)
-        inside = [r for r in rows if float(r["im_k"]) > -0.25]
-        assert all(r["abs_D"] != "nan" for r in inside
-                   if (float(r["re_k"]), float(r["im_k"])) != (0.0, 0.0))
+        # the strip ends at -eps/4 for decaying V, and for the README bump
+        # (radius 3) where e^{-2 Im k 3} leaves the double range
+        mollified = {"family": "mollified_exponential",
+                     "parameters": {"v0": 0.2, "rate": 1.0}}
+        readme_bump = {"family": "bump", "parameters": {"v0": [-1.0, 0.0], "radius": 3.0}}
+        for potential, eps, region, floor in (
+                (mollified, 0.5, "-1,1,-0.4,1.0", -0.25),
+                (readme_bump, 1.0, "-1,1,-200,1", -700.0 / 6.0)):
+            cfg = _write_config(tmp_path, dict(
+                BUMP_CFG, potential=potential, eps=eps, grid="6x14",
+                tolerances={"scan_points_per_side": 5}))
+            out = tmp_path / "out"
+            rc = cli.main(["--config", cfg, "--out", str(out),
+                           f"--region={region}", "scan"])
+            assert rc == cli.EXIT_OK
+            rows = list(csv.DictReader(open(out / "scan.csv")))
+            assert len(rows) == 25
+            below = [r for r in rows if float(r["im_k"]) <= floor]
+            assert below and all(r["abs_D"] == "nan" for r in below)
+            inside = [r for r in rows if float(r["im_k"]) > floor]
+            assert all(r["abs_D"] != "nan" for r in inside
+                       if (float(r["re_k"]), float(r["im_k"])) != (0.0, 0.0))
 
     def test_zero_potential_all_unity(self, tmp_path):
         cfg = _write_config(tmp_path, {

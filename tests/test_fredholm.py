@@ -28,6 +28,25 @@ class TestGrid:
         val = np.dot(w, np.sum(nodes ** 2, axis=1))
         assert val == pytest.approx(4.0 * math.pi / 5.0, rel=1e-12)
 
+    def test_lebedev_degree(self):
+        # the 6-, 14-, 26- and 38-point rules average every x^a y^b z^c
+        # over the sphere exactly up to degree 3, 5, 7 and 9, and no further
+        def mean(a, b, c):
+            if a % 2 or b % 2 or c % 2:
+                return 0.0
+            g = math.gamma
+            return g((a + 1) / 2) * g((b + 1) / 2) * g((c + 1) / 2) / \
+                (2.0 * math.pi * g((a + b + c + 3) / 2))
+
+        for n, degree in ((6, 3), (14, 5), (26, 7), (38, 9)):
+            dirs, w = grids.angular_rule(n)
+            err = [max(abs(np.dot(w, np.prod(dirs ** (a, b, d - a - b), axis=1)) -
+                           mean(a, b, d - a - b))
+                       for a in range(d + 1) for b in range(d + 1 - a))
+                   for d in range(degree + 2)]
+            assert max(err[:-1]) < 1e-14, (n, err)
+            assert err[-1] > 1e-4, (n, err)
+
     def test_refinement_reduces_bump_integral_error(self, bump_unit):
         from tests.test_potentials import BUMP_L1
         errs = []

@@ -184,13 +184,16 @@ class TestJensen:
 
 class TestLocateZeros:
     def test_two_simple_zeros(self):
-        f = lambda k: (k - (1 + 2j)) * (k - (-1 + 1j))
-        res = zc.locate_zeros(f, (-2, 2, 0.5, 3), 1e-3)
-        assert res.winding == 2
-        assert len(res.zeros) == 2
-        assert abs(res.zeros[0].k - (-1 + 1j)) < 1e-8
-        assert abs(res.zeros[1].k - (1 + 2j)) < 1e-8
-        assert all(z.multiplicity == 1 for z in res.zeros)
+        # in the second pair b lies 0.01 past the first cut from the box
+        # holding a, and Newton from that box's centre converges to b
+        for a, b in ((-1 + 1j, 1 + 2j), (-1.95 + 0.55j, 0.01 + 1.125j)):
+            f = lambda k: (k - b) * (k - a)
+            res = zc.locate_zeros(f, (-2, 2, 0.5, 3), 1e-3)
+            assert res.winding == 2
+            assert len(res.zeros) == 2
+            assert abs(res.zeros[0].k - a) < 1e-8
+            assert abs(res.zeros[1].k - b) < 1e-8
+            assert all(z.multiplicity == 1 for z in res.zeros)
 
     def test_entire_function_no_zeros(self):
         res = zc.locate_zeros(lambda k: np.exp(k), (-2, 2, 0.5, 3), 1e-3)
