@@ -11,7 +11,8 @@ batched function (the radial oracle) gets each sweep in one call; the
 rectangle in two across its longer side until Newton from a box's centre
 lands inside that box (a polished zero, reported by the box that holds
 it) or the box reaches the minimum size (a cluster entry with the boxed
-multiplicity).  jensen_bound evaluates the Nevanlinna-Jensen averaged
+multiplicity); for a real V it uses D(-conj k) = conj D(k) to search
+half of each box.  jensen_bound evaluates the Nevanlinna-Jensen averaged
 count numerically.
 """
 
@@ -75,12 +76,14 @@ class _Memo:
     A batched fn takes a 1-D array of k and returns their values; any
     other fn is called one k at a time.  The 3-D determinant stays
     unbatched on purpose: assembling several dense matrices at once would
-    hold them all in memory.
+    hold them all in memory.  With mirror set (fn(-conj k) = conj fn(k)),
+    a k with Re k < 0 is answered from the value at -conj k.
     """
 
-    def __init__(self, fn, batched=False):
+    def __init__(self, fn, batched=False, mirror=False):
         self.fn = fn
         self.batched = batched
+        self.mirror = mirror
         self.cache = {}
 
     def __call__(self, z):
@@ -89,14 +92,17 @@ class _Memo:
     def many(self, zs):
         """Values at every z in zs; each k not yet cached is evaluated once."""
         zs = [complex(z) for z in zs]
-        new = list(dict.fromkeys(z for z in zs if z not in self.cache))
+        flip = [self.mirror and z.real < 0 for z in zs]
+        keys = [-z.conjugate() if f else z for z, f in zip(zs, flip)]
+        new = list(dict.fromkeys(z for z in keys if z not in self.cache))
         if self.batched and new:
             self.cache.update(zip(new, np.asarray(self.fn(np.array(new)),
                                                   dtype=complex).tolist()))
         else:
             for z in new:
                 self.cache[z] = complex(self.fn(z))
-        return [self.cache[z] for z in zs]
+        return [self.cache[z].conjugate() if f else self.cache[z]
+                for z, f in zip(keys, flip)]
 
 
 def _sampled_enough(v0, vm, v1):
@@ -214,7 +220,10 @@ def _fmt_box(box):
 def _box_winding(fn, box, n0, limit):
     """(winding, smallest |fn| sampled) over the rectangle box = (x0, x1, y0, y1).
 
-    A tracking failure is re-raised naming the box.
+    When fn mirrors and x0 == -x1, only the right half (0, y0) -> (x1, y0)
+    -> (x1, y1) -> (0, y1) is tracked, at the same arc density: along its
+    mirror image, the left half, fn turns by the same phase.  A tracking
+    failure is re-raised naming the box.
     """
     x0, x1, y0, y1 = box
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
@@ -227,6 +236,10 @@ def _box_winding(fn, box, n0, limit):
         return a + frac * (b - a)
 
     try:
+        if getattr(fn, "mirror", False) and x0 == -x1:
+            total, min_abs = _phase_track(fn, lambda t: gamma(0.125 + 0.5 * t),
+                                          n0 * 2, limit)
+            return _winding(2.0 * total), min_abs
         total, min_abs = _phase_track(fn, gamma, n0 * 4, limit)
         return _winding(total), min_abs
     except (ZeroOnContour, NonConvergent) as exc:
@@ -309,25 +322,33 @@ class _SplitFailed(Exception):
     """No fraction of the ladder splits a box into children adding up to it."""
 
 
-def _newton(fn, z, scale, mult):
+def _newton(fn, z, scale, mult, axis=False):
     """Newton's z -> z - mult f/f' from z with a differenced derivative.
 
-    Returns (root, |last step|), or None when 40 steps do not converge or
-    a step leaves fn's domain (ContinuationOutOfStrip).  It converges
+    Returns (root, |last step|), or None when 40 steps do not converge, a
+    step leaves fn's domain (ContinuationOutOfStrip), or, for mult > 1, a
+    step after the third exceeds half the one before it.  It converges
     quadratically to a mult-fold zero (exactly degenerate clusters, e.g.
-    the 2l+1 copies of a radial eigenvalue, behave as one such zero).
+    the 2l+1 copies of a radial eigenvalue, behave as one such zero), and
+    linearly, ratio |1 - mult/p|, to a p-fold one.  With axis set, every
+    step is kept on the imaginary axis.
     """
     h = 1e-5 * scale
     try:
-        for _ in range(40):
+        for i in range(40):
             f0 = fn(z)
             d = (fn(z + h) - fn(z - h)) / (2.0 * h)
             if d == 0:
                 return None
             step = mult * f0 / d
+            if axis:
+                step = 1j * step.imag
             z = z - step
             if abs(step) < 1e-11 * max(abs(z), scale):
                 return z, abs(step)
+            if mult > 1 and i >= 3 and abs(step) > 0.5 * prev:
+                return None
+            prev = abs(step)
     except ContinuationOutOfStrip:
         pass
     return None
@@ -360,9 +381,12 @@ def _resolve(fn, box, w, where, min_box, flags):
         return []
     x0, x1, y0, y1 = box
     bx, by = x1 - x0, y1 - y0
+    # a symmetric box of a mirroring fn holds zeros on the axis or in mirror
+    # pairs: it is cut across Im k only, and its Newton runs on the axis
+    sym = fn.mirror and x0 == -x1
     diag = math.hypot(bx, by)
     mid = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    root = _newton(fn, mid, max(diag, min_box), w)
+    root = _newton(fn, mid, max(by if sym else diag, min_box), w, sym)
     # a root inside the closed box is one of the box's own zeros; a
     # multiplicity-w fixed point is only trusted once a tight neighborhood
     # carries the full winding w (a cluster of distinct zeros fails this
@@ -381,14 +405,14 @@ def _resolve(fn, box, w, where, min_box, flags):
         if ok:
             return [ZeroLocation(z, z * z, w, step)]
     flags["newton_fallbacks"] += 1
-    if max(bx, by) <= min_box:
+    if (by if sym else max(bx, by)) <= min_box:
         return [ZeroLocation(mid, mid * mid, w, diag)]
     tried = []
     deeper = None
     for j, fr in enumerate(_SPLIT_FRACTIONS):
         if j > 0:
             flags["jitter_used"] += 1
-        if bx >= by:
+        if bx >= by and not sym:
             xm = x0 + fr * bx
             children = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
         else:
@@ -423,7 +447,7 @@ def _resolve(fn, box, w, where, min_box, flags):
                        f"split: " + "; ".join(tried))
 
 
-def locate_zeros(fn, region, min_box: float) -> ZeroCountResult:
+def locate_zeros(fn, region, min_box: float, mirror: bool = False) -> ZeroCountResult:
     """Bisection zero search over region = (re0, re1, im0, im1) in the k-plane.
 
     A box with winding w is polished by a multiplicity-w Newton with a
@@ -443,8 +467,13 @@ def locate_zeros(fn, region, min_box: float) -> ZeroCountResult:
     abandoned subtree's zeros are discarded.  Midpoint cuts come first
     because sibling edges then share memoized samples.  Every give-up
     names the box, the windings and the smallest |f| met on the contours.
+
+    mirror declares fn(-conj k) = conj fn(k), the Jost symmetry of a real
+    V's determinant: fn is then evaluated at Re k >= 0 only, and a box with
+    x0 == -x1 tracks its right half, is cut across Im k alone (down to a
+    height of min_box) and runs Newton on the axis, 2 evaluations a step.
     """
-    fn = _Memo(fn)
+    fn = _Memo(fn, mirror=mirror)
     flags = {"jitter_used": 0, "newton_fallbacks": 0, "boxes": 0}
     w_root, root = _root_winding(fn, tuple(map(float, region)), flags)
     try:
@@ -493,7 +522,7 @@ def _is_real_potential(p):
     return scale == 0.0 or float(np.max(np.abs(v.imag))) < 1e-13 * scale
 
 
-def default_search_region(p, fn, eps):
+def default_search_region(p, fn, eps, mirror=False):
     """k-plane rectangle covering every possible eigenvalue momentum.
 
     For real V, -Delta+V is self-adjoint and its discrete spectrum lies in
@@ -512,18 +541,21 @@ def default_search_region(p, fn, eps):
     NonConvergent for both signs.  For complex V the region must cover
     the numerical range |lambda| <= sqrt(2)||V||_inf, so it reaches
     |Re k|, Im k >= (sqrt(2)||V||_inf)^{1/2}.
+
+    With mirror set (see locate_zeros) it is symmetric about the imaginary
+    axis; otherwise it reaches 1.7% further left than right, so that cuts
+    across Re k never land on the axis.
     """
     lam_max = max(fn.linf_norm, 1e-9)
+    skew = 1.0 if mirror else 1.017
     if _is_real_potential(p):
         kmax = math.sqrt(lam_max) * 1.1 + 0.2
         margin = max(min(eps / 8.0, 0.05 * kmax), 5e-3)
         half_w = max(0.35, 0.04 * kmax)
-        # 1.7% left-right asymmetry: dyadic subdivision lines then never
-        # land on the imaginary axis, where all the zeros live
-        return (-1.017 * half_w, half_w, margin, kmax + margin)
+        return (-skew * half_w, half_w, margin, kmax + margin)
     kmax = math.sqrt(math.sqrt(2.0) * lam_max) * 1.1 + 0.1
     margin = max(min(eps / 8.0, 0.05 * kmax), 5e-3)
-    return (-1.017 * kmax, kmax, margin, kmax + margin)
+    return (-skew * kmax, kmax, margin, kmax + margin)
 
 
 def empirical_vs_bound(p, eps: float, mode: str,
@@ -538,19 +570,22 @@ def empirical_vs_bound(p, eps: float, mode: str,
     -Delta + V), det(I - A) (eigenvalues of -Delta - V) and their union
     (zeros of D) inside the search region and checks
     N_emp(V) <= N_D <= n_bound.  Each k is assembled once: the det(I + A)
-    search factors both signs there.
+    search factors both signs there.  When V is real on the grid,
+    A(-conj k) = conj A(k), and a symmetric region is searched mirrored.
     """
     fn = potentials.measure_functionals(p, eps, quad)
     report = scalarbounds.count_bounds(fn, mode)[2]
-    if region is None:
-        region = default_search_region(p, fn, eps)
     ev = fredholm.DeterminantEvaluator(p, n_radial, n_angular)
+    mirror = not np.any(np.imag(ev.assembler.vvals))
+    if region is None:
+        region = default_search_region(p, fn, eps, mirror)
+    mirror = mirror and region[0] == -region[1]
 
     def det_plus(k):
         ev.factors(k, (+1.0, -1.0))
         return ev.det_plus(k)
-    res_plus = locate_zeros(det_plus, region, _MIN_BOX)
-    res_minus = locate_zeros(ev.det_minus, region, _MIN_BOX)
+    res_plus = locate_zeros(det_plus, region, _MIN_BOX, mirror)
+    res_minus = locate_zeros(ev.det_minus, region, _MIN_BOX, mirror)
     n_plus = res_plus.total_multiplicity
     n_minus = res_minus.total_multiplicity
     n_d = n_plus + n_minus

@@ -313,6 +313,19 @@ class TestDeterminant:
             d2 = ev.det_value(-k.conjugate())
             assert d2 == pytest.approx(d1.conjugate(), rel=1e-10)
 
+    @pytest.mark.parametrize("grid", [(12, 38), (16, 50)])
+    def test_mirror_identity_of_det_plus(self, bump_unit, grid):
+        # the zero search answers Re k < 0 from det(I + A)(-conj k) =
+        # conj det(I + A)(k), which holds for real V only; each side is
+        # assembled by its own evaluator
+        ks = (0.8 + 0.6j, 0.3 + 1.7j, 1.5 + 0.05j)
+        for p, holds in ((bump_unit, True), (pot.bump_potential(-1.0 + 0.5j, 2.0), False)):
+            ev, other = fr.DeterminantEvaluator(p, *grid), fr.DeterminantEvaluator(p, *grid)
+            for k in ks:
+                d = ev.det_plus(k)
+                rel = abs(other.det_plus(-k.conjugate()) - d.conjugate()) / abs(d)
+                assert rel < 1e-12 if holds else rel > 1e-2
+
     def test_grid_refinement_converges(self, bump_unit):
         k = 1.5j
         vals = [fr.DeterminantEvaluator(bump_unit, n_r, n_a).det_value(k)

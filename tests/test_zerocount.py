@@ -227,6 +227,50 @@ class TestLocateZeros:
         assert res.total_multiplicity == 2
 
 
+class TestMirrorSearch:
+    # f(-conj k) = conj f(k): a double zero on the imaginary axis and an
+    # off-axis mirror pair
+    A, B = 1.2j, 0.6 + 2.1j
+
+    @classmethod
+    def f(cls, k):
+        return (k - cls.A) ** 2 * (k - cls.B) * (k + cls.B.conjugate())
+
+    def test_f_mirrors(self):
+        for k in (0.3 + 0.7j, 1.1 + 2.5j, 0.02 + 1.2j):
+            assert self.f(-k.conjugate()) == pytest.approx(self.f(k).conjugate(), rel=1e-14)
+
+    def test_half_contour_winding_equals_full(self):
+        for box, w in (((-1.5, 1.5, 0.5, 3.0), 4), ((-1.5, 1.5, 0.5, 1.6), 2),
+                       ((-0.4, 0.4, 1.6, 3.0), 0), ((-1.0, 1.0, 1.6, 3.0), 2)):
+            asked = []
+            half = zc._Memo(lambda k: asked.append(k) or self.f(k), mirror=True)
+            assert zc._box_winding(half, box, zc._BOX_N0, zc._BOX_DEPTH)[0] == w
+            assert zc._box_winding(self.f, box, zc._BOX_N0, zc._BOX_DEPTH)[0] == w
+            assert asked and min(k.real for k in asked) == 0.0
+
+    def test_mirror_search_keeps_the_count(self):
+        region = (-1.5, 1.5, 0.5, 3.0)
+        full = zc.locate_zeros(self.f, region, 1e-3)
+        half = zc.locate_zeros(self.f, region, 1e-3, mirror=True)
+        assert full.winding == half.winding == 4
+        assert full.total_multiplicity == half.total_multiplicity == 4
+        assert half.resolution_flags["count_consistent"]
+        # the double zero is polished on the axis as one zero
+        assert [(z.multiplicity, abs(z.k - self.A) < 1e-8) for z in half.zeros][0] == (2, True)
+
+    def test_real_potential_factors_no_left_half_k(self, monkeypatch):
+        requested = set()
+        factors = fredholm.DeterminantEvaluator.factors
+        monkeypatch.setattr(fredholm.DeterminantEvaluator, "factors",
+                            lambda self, k, signs: requested.add(complex(k)) or
+                            factors(self, k, signs))
+        comp = zc.empirical_vs_bound(pot.bump_potential(-1.0, 3.0), 1.0, "Theorem1",
+                                     n_radial=6, n_angular=14)
+        assert comp.region[0] == -comp.region[1]
+        assert requested and min(k.real for k in requested) == 0.0
+
+
 class TestSearchRegion:
     def test_region_covers_eigenvalue_momenta(self, bump_unit,
                                               bump_unit_functionals):
