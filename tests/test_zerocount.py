@@ -257,7 +257,8 @@ class TestMirrorSearch:
         assert full.total_multiplicity == half.total_multiplicity == 4
         assert half.resolution_flags["count_consistent"]
         # the double zero is polished on the axis as one zero
-        assert [(z.multiplicity, abs(z.k - self.A) < 1e-8) for z in half.zeros][0] == (2, True)
+        z = half.zeros[0]
+        assert z.multiplicity == 2 and abs(z.k - self.A) < 1e-8
 
     def test_real_potential_factors_no_left_half_k(self, monkeypatch):
         requested = set()
