@@ -18,8 +18,10 @@ DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
 k-independent geometry and symmetry once, so assemblies at distinct k are
 independent and safe to run in parallel.  It holds nothing n x n:
-stencils come from a k-d tree, and the kernel is evaluated once per
-distinct distance of the representative rows.
+stencils come from k-d tree queries on all cores, and the kernel is
+evaluated once per distinct distance of the representative rows.  The
+other k-independent arrays, moment pseudo-inverses included, are built
+per row layout: once for the representatives, per call for the full matrix.
 """
 
 from __future__ import annotations
@@ -218,7 +220,8 @@ class BSAssembler:
     near-singularity quadrature error.  `symmetries` holds the 3 x 3 matrices
     of the group the grid and V admit (rotation^a mirror^b at b m + a).
     `_rep_dist` holds the distinct distances of the representative rows,
-    `_rep_index` each slot's place among them in the orbit layout `_slots`.
+    `_rep_index` each slot's place among them in the orbit layout `_slots`,
+    and `_rep_layout` that layout's other k-independent arrays (`_layout`).
     """
 
     N_NEIGHBORS = 14
@@ -237,9 +240,10 @@ class BSAssembler:
         self._prepare_moment_stencils()
         self._prepare_blocks()
         self._rep_dist, self._rep_index = self._distance_table(self._reps, self._slots)
+        self._rep_layout = self._layout(self._reps, self._slots)
 
     def _prepare_moment_stencils(self):
-        """Per-row neighbor sets and pseudo-inverses of the moment matrices.
+        """Per-row neighbor sets for the local moment corrections.
 
         Nearest nodes cluster on the node's own radial shell (nearly
         coplanar caps), so the radially adjacent nodes in the product
@@ -262,7 +266,7 @@ class BSAssembler:
         forced = np.where(inside, forced, own)
         tree = cKDTree(self.nodes)
         for n_cand in (min(n, 3 * m), n):    # all n only if ties outrun 3m
-            near_d, near = tree.query(self.nodes, k=n_cand)
+            near_d, near = tree.query(self.nodes, k=n_cand, workers=-1)
             # forced nodes sort first; off-grid and repeated ones sort last
             again = np.any(near[:, :, None] == forced[:, None, :], axis=2)
             nbr = np.concatenate([forced, near], axis=1)
@@ -278,14 +282,6 @@ class BSAssembler:
         width = int(np.max(n_real))
         self.nbr = nbr[:, :width]
         self.stencil_mask = np.arange(width)[None, :] < n_real[:, None]
-        dx = self.nodes[self.nbr] - self.nodes[:, None, :]           # (n, m, 3)
-        reach = np.where(self.stencil_mask, np.linalg.norm(dx, axis=2), 0.0)
-        self.mom_scale = np.maximum(np.max(reach, axis=1), 1e-12)
-        q = np.concatenate([np.ones((n, 1, width)), np.transpose(dx, (0, 2, 1)) /
-                            self.mom_scale[:, None, None]], axis=1)
-        q *= self.stencil_mask[:, None, :]
-        qqt = q @ np.transpose(q, (0, 2, 1))                         # (n, 4, 4)
-        self.mom_pinv = np.transpose(q, (0, 2, 1)) @ np.linalg.pinv(qqt, rcond=1e-10)
 
     def _n_angular_layout(self):
         """Angular block size of the (shell-major, direction-minor) node layout."""
@@ -308,7 +304,8 @@ class BSAssembler:
 
         def perm(mat):
             """mat's node permutation, or None if it moves the nodes, V w or w."""
-            img = tree.query(rel @ mat.T, distance_upper_bound=1e-12 * self.ball_radius)[1]
+            img = tree.query(rel @ mat.T, distance_upper_bound=1e-12 * self.ball_radius,
+                             workers=-1)[1]
             if not np.array_equal(np.sort(img), np.arange(n)) or any(
                     np.max(np.abs(v[img] - v)) > 1e-12 * np.max(np.abs(v))
                     for v in (self.vw, self.weights)):
@@ -360,6 +357,26 @@ class BSAssembler:
             index = np.where(cols >= 0, np.take(index, cols, axis=1), np.int32(len(dist)))
         return dist, index
 
+    def _layout(self, rows, cols):
+        """The k-independent arrays of these rows in this column layout: own and
+        stencil slots, weights, stencil V, geometry and moment pseudo-inverses."""
+        n = len(self.weights)
+        slot = np.argsort(cols)[len(cols) - n:]            # each column's slot
+        at = np.arange(len(rows))
+        nbr, mask = self.nbr[rows], self.stencil_mask[rows]
+        dx = self.nodes[nbr] - self.nodes[rows, None, :]             # (row, m, 3)
+        scale = np.maximum(np.max(np.where(mask, np.linalg.norm(dx, axis=2), 0.0), axis=1),
+                           1e-12)
+        q = np.concatenate([np.ones((len(rows), 1, nbr.shape[1])),
+                            np.transpose(dx, (0, 2, 1)) / scale[:, None, None]], axis=1)
+        q *= mask[:, None, :]
+        qqt = q @ np.transpose(q, (0, 2, 1))                         # (row, 4, 4)
+        pinv = np.transpose(q, (0, 2, 1)) @ np.linalg.pinv(qqt, rcond=1e-10)
+        wx = self.weights[cols, None] * np.column_stack([np.ones(n), self.nodes])[cols]
+        return ((at, slot[rows]), wx, self.vw[cols], (at[:, None], slot[nbr]),
+                self.vvals[nbr], self.nodes[rows], self.node_rho[rows], self.node_hat[rows],
+                scale, pinv)
+
     def matrix(self, k: complex, rows=None, cols=None):
         """The Nystrom matrix A(k) of R_0(k^2) V on this grid, or its given rows
         in a layout of their columns: every column fills one slot, empty slots
@@ -367,29 +384,28 @@ class BSAssembler:
         _check_strip(complex(k), self.potential, self.ball_radius)
         n = len(self.weights)
         rows = np.arange(n) if rows is None else np.asarray(rows)
+        layout = None
         if cols is None:
             cols, (dist, index) = np.arange(n), self._distance_table(rows)
         elif np.array_equal(rows, self._reps) and np.array_equal(cols, self._slots):
-            dist, index = self._rep_dist, self._rep_index
+            dist, index, layout = self._rep_dist, self._rep_index, self._rep_layout
         else:
             dist, index = self._distance_table(rows, cols)
-        slot = np.argsort(cols)[len(cols) - n:]            # each column's slot
+        own, wx, vw, stencil, v_stencil, x, rho, hat, scale, pinv = \
+            layout or self._layout(rows, cols)
         a = np.append(np.exp(1j * k * dist) / (4.0 * np.pi * dist), 0.0)[index]
-        a[np.arange(len(rows)), slot[rows]] = 0.0     # the own node enters by its stencil
-        wx = self.weights[cols, None] * np.column_stack([np.ones(n), self.nodes])[cols]
+        a[own] = 0.0                                  # the own node enters by its stencil
         raw = a @ wx                                        # empty slots hold 0
-        rho = self.node_rho[rows]
         s = ball_helmholtz_potential(k, rho, self.ball_radius)
         dip = ball_helmholtz_dipole(k, rho, self.ball_radius)
-        a *= self.vw[cols]
-        raw0, raw1 = raw[:, 0], raw[:, 1:] - raw[:, :1] * self.nodes[rows]
-        exact1 = self.node_hat[rows] * (dip - rho * s)[:, None]
-        defect = np.column_stack([s - raw0, (exact1 - raw1) / self.mom_scale[rows, None]])
-        delta = np.einsum("nmf,nf->nm", self.mom_pinv[rows], defect)
-        nbr = self.nbr[rows]
+        a *= vw
+        raw0, raw1 = raw[:, 0], raw[:, 1:] - raw[:, :1] * x
+        exact1 = hat * (dip - rho * s)[:, None]
+        defect = np.column_stack([s - raw0, (exact1 - raw1) / scale[:, None]])
+        delta = np.einsum("nmf,nf->nm", pinv, defect)
         # each row's stencil columns are distinct, so a plain fancy-index
         # add updates every (row, slot) pair once
-        a[np.arange(len(rows))[:, None], slot[nbr]] += delta * self.vvals[nbr]
+        a[stencil] += delta * v_stencil
         return a
 
     def blocks(self, k: complex):

@@ -8,10 +8,11 @@ surface integral over the unit sphere is 4*pi*sum(w*f).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 _SQ3 = 1.0 / np.sqrt(3.0)
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -52,6 +53,14 @@ def _lebedev(n):
     raise ValueError(f"no closed-form Lebedev rule with {n} points")
 
 LEBEDEV_COUNTS = (6, 14, 26, 38)
+
+
+@functools.lru_cache(maxsize=None)
+def leggauss(n):
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], once per n, read-only."""
+    x, w = legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def angular_rule(n_angular):

@@ -12,10 +12,11 @@ are the discrete eigenvalues of the channel; counts are summed with the
 
 The integrator is scipy's DOP853 (Dormand-Prince 8(5,3), rtol 1e-10,
 atol 1e-40) ported to run a whole batch of k at once: each k keeps its
-own radius, step size and error control, so a value computed in a batch
-agrees with the same k computed alone to rounding.  Each sweep of the
-argument-principle tracker is one batch, and each step evaluates V once,
-at every k's stage radii.
+own radius, step size and error control.  Stages are stored times h, so
+each costs one sum and one product, and each step evaluates V once, at
+every k's stage radii.  A scalar k runs the same arithmetic as a batch of
+one, so a value computed in a batch equals the same k computed alone.
+Each sweep of the argument-principle tracker is one batch.
 
 This path never touches the 3-D Nystrom machinery, which is what makes
 it usable as an oracle for it.
@@ -74,7 +75,7 @@ def riccati_hankel_plus(l: int, z: complex) -> complex:
 # Norsett & Wanner, Solving ODEs I, II.4-II.10): same tableau, same RMS
 # error norm over the four real components of (u, u'), same safety and
 # step-change factors.
-_A, _B, _C, _E3, _E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+_A, _B, _C, _E53 = DOP853.A, DOP853.B, DOP853.C, np.array([DOP853.E5, DOP853.E3])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
 _RTOL, _ATOL = 1e-10, 1e-40
@@ -92,9 +93,10 @@ def _integrate_inward(rp: RadialProblem, k, y):
     Every k keeps its own radius, step size and accept/reject state, as if
     it were integrated alone, and leaves the batch when it reaches _R_MIN.
     A step falling below ten times the float spacing at its radius raises
-    StiffIntegration naming its k.  Stages are combined with np.dot over
-    the last axis, which sums each k's stages in the same order whatever
-    the batch size.
+    StiffIntegration naming its k.  K holds h times each stage, so scipy's
+    error norm loses its |h| factor and a stage's (u', q u) is its value
+    times (h q, h), written into K with (u, u') reversed.  Stage sums are
+    np.dot over K's stage axis, in the same order at any batch size.
     """
     cl = float(rp.l * (rp.l + 1))
     out = np.empty_like(y)
@@ -102,16 +104,14 @@ def _integrate_inward(rp: RadialProblem, k, y):
     k2 = k * k
     r = np.full(k.size, float(rp.r_max))
 
-    def rhs(v, r, y, out):     # (u', u'') at radius r, where V(r) = v, into out
-        q = v - k2
+    def q_at(r):    # q(r) = V(r) + l(l+1)/r^2 - k^2, so that u'' = q u
+        q = rp.profile(r.ravel()).reshape(r.shape) - k2
         if cl:
             q += cl / (r * r)
-        out[0] = y[1]
-        np.multiply(q, y[0], out=out[1])
-        return out
+        return q
 
     # initial step: scipy's select_initial_step, integrating towards smaller r
-    f = rhs(rp.profile(r), r, y, np.empty_like(y))
+    f = np.stack([y[1], q_at(r) * y[0]])
     span = rp.r_max - _R_MIN
     sc_re, sc_im = _ATOL + np.abs(y.real) * _RTOL, _ATOL + np.abs(y.imag) * _RTOL
     d0 = np.sqrt(_sum_sq(y, sc_re, sc_im) / 4.0)
@@ -119,7 +119,8 @@ def _integrate_inward(rp: RadialProblem, k, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
-    f0 = rhs(rp.profile(r - h0), r - h0, y - h0 * f, np.empty_like(y))
+    y0 = y - h0 * f
+    f0 = np.stack([y0[1], q_at(r - h0) * y0[0]])
     d2 = np.sqrt(_sum_sq(f0 - f, sc_re, sc_im) / 4.0) / h0
     with np.errstate(divide="ignore"):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
@@ -127,52 +128,71 @@ def _integrate_inward(rp: RadialProblem, k, y):
     h_abs = np.minimum(np.minimum(100.0 * h0, h1), span)
 
     n_st = len(_B)
+    c_rad = np.append(_C[1:n_st], 1.0)[:, None]   # stage radii r + c h, then r + h
     rejected = np.zeros(k.size, dtype=bool)
-    while idx.size:
-        min_step = 10.0 * (r - np.nextafter(r, -np.inf))
-        if rejected.any():
-            stalled = rejected & (h_abs < min_step)
-            if stalled.any():
-                raise StiffIntegration(
-                    f"radial integration failed at k={k[np.argmax(stalled)]:.6g}: "
-                    f"step size fell below the spacing between numbers")
-        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        r_new = np.maximum(r - h_abs, _R_MIN)
-        h = r_new - r
-        h_abs = -h
-        # the step's radii, stages 1..n_st-1 then r + h: one profile call
-        rs = np.concatenate([r + _C[1:n_st, None] * h, (r + h)[None]])
-        vs = rp.profile(rs.ravel()).reshape(rs.shape)
-        K = np.empty(y.shape + (n_st + 1,), dtype=complex)     # stages last
-        K[..., 0] = f
-        for s in range(1, n_st):
-            rhs(vs[s - 1], rs[s - 1], y + h * np.dot(K[..., :s], _A[s, :s]), K[..., s])
-        y_new = y + h * np.dot(K[..., :n_st], _B)
-        f_new = rhs(vs[-1], rs[-1], y_new, K[..., n_st])
-        sc_re = _ATOL + np.maximum(np.abs(y.real), np.abs(y_new.real)) * _RTOL
-        sc_im = _ATOL + np.maximum(np.abs(y.imag), np.abs(y_new.imag)) * _RTOL
-        e5 = _sum_sq(np.dot(K, _E5), sc_re, sc_im)
-        e3 = _sum_sq(np.dot(K, _E3), sc_re, sc_im)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.where((e5 == 0) & (e3 == 0), 0.0,
-                           h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 4.0))
+    m = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            if idx.size != m:    # buffers and views for this batch size
+                m = idx.size
+                K = np.empty((2, m, n_st + 1), dtype=complex)       # stages last
+                Kf = K.view(float).reshape(2, m, n_st + 1, 2)      # (Re, Im) last
+                hq = np.empty((n_st, 2, m), dtype=complex)         # (h q, h) per stage
+                ys = np.empty((2, m, 2))                           # a stage's y
+                stages = [(_A[s, :s], Kf[..., :s, :], hq[s - 1], K[::-1, :, s])
+                          for s in range(1, n_st)]
+                ys_c = ys.view(complex)[..., 0]
+            min_step = 10.0 * (r - np.nextafter(r, -np.inf))
+            any_rejected = rejected.any()
+            if any_rejected:
+                stalled = rejected & (h_abs < min_step)
+                if stalled.any():
+                    raise StiffIntegration(
+                        f"radial integration failed at k={k[np.argmax(stalled)]:.6g}: "
+                        f"step size fell below the spacing between numbers")
+                h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            else:
+                h_abs = np.maximum(h_abs, min_step)
+            r_new = np.maximum(r - h_abs, _R_MIN)
+            h = r_new - r
+            h_abs = -h
+            q = q_at(r + c_rad * h)
+            np.multiply(q, h, out=hq[:, 0])
+            hq[:, 1] = h
+            yf = y.view(float).reshape(2, m, 2)
+            np.multiply(f, h, out=K[..., 0])
+            for a, k_in, hq_s, k_out in stages:
+                np.add(yf, np.dot(a, k_in, out=ys), out=ys)
+                np.multiply(ys_c, hq_s, out=k_out)
+            y_new_f = yf + np.dot(_B, Kf[..., :n_st, :], out=ys)
+            y_new = y_new_f.view(complex)[..., 0]
+            np.multiply(y_new, hq[-1], out=K[::-1, :, n_st])
+            f_new = K[..., n_st] / h                    # (u', q u) at r + h
+            scale = _ATOL + np.maximum(np.abs(yf), np.abs(y_new_f)) * _RTOL
+            e = np.square(np.dot(_E53, Kf) / scale)    # (E5, E3), (u, u'), k, (Re, Im)
+            e = e[:, 0] + e[:, 1]
+            e5, e3 = e[..., 0] + e[..., 1]
+            err = np.where(e5 == 0.0, 0.0, e5 / np.sqrt((e5 + 0.01 * e3) * 4.0))
             factor = _SAFETY * err ** _ERR_EXP
-        accept = err < 1.0
-        h_abs *= np.where(accept, np.minimum(factor, np.where(rejected, 1.0, _MAX_FACTOR)),
-                          np.fmax(_MIN_FACTOR, factor))
-        if accept.all():
-            r, y, f = r_new, y_new, f_new
-        else:
-            r = np.where(accept, r_new, r)
-            y = np.where(accept, y_new, y)
-            f = np.where(accept, f_new, f)
-        rejected = ~accept
-        done = accept & (r_new <= _R_MIN)
-        if done.any():
-            out[:, idx[done]] = y[:, done]
-            keep = ~done
-            idx, k, k2, r, y, f = idx[keep], k[keep], k2[keep], r[keep], y[:, keep], f[:, keep]
-            h_abs, rejected = h_abs[keep], rejected[keep]
+            grow = np.minimum(factor, np.where(rejected, 1.0, _MAX_FACTOR)
+                              if any_rejected else _MAX_FACTOR)
+            accept = err < 1.0
+            if accept.all():
+                h_abs *= grow
+                r, y, f = r_new, y_new, f_new
+            else:
+                h_abs *= np.where(accept, grow, np.fmax(_MIN_FACTOR, factor))
+                r = np.where(accept, r_new, r)
+                y = np.where(accept, y_new, y)
+                f = np.where(accept, f_new, f)
+            rejected = ~accept
+            done = accept & (r_new <= _R_MIN)
+            if done.any():
+                out[:, idx[done]] = y[:, done]
+                keep = ~done
+                idx, k, k2, r, f = idx[keep], k[keep], k2[keep], r[keep], f[:, keep]
+                y = np.ascontiguousarray(y[:, keep])      # for its float view
+                h_abs, rejected = h_abs[keep], rejected[keep]
     return out
 
 

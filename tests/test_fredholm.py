@@ -27,6 +27,8 @@ class TestGrid:
         nodes, w = grids.ball_rule(1.0, 12, 38)
         val = np.dot(w, np.sum(nodes ** 2, axis=1))
         assert val == pytest.approx(4.0 * math.pi / 5.0, rel=1e-12)
+        # the Gauss-Legendre rules are cached, so no caller may write to them
+        assert not any(a.flags.writeable for a in grids.leggauss(12))
 
     def test_lebedev_degree(self):
         # the 6-, 14-, 26- and 38-point rules average every x^a y^b z^c

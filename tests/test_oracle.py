@@ -105,6 +105,10 @@ class TestBatch:
     # the m5 well and its oracle contour |k| <= (sqrt(2) 54.5)^{1/2}, Im k >= 5e-3
     M5 = pot.bump_potential(-54.5, 1.0)
     KMAX = math.sqrt(math.sqrt(2.0) * 54.5)
+    # criterion 5c's well and the scalar calls of its s-wave bisection:
+    # the bracket's ends and a midpoint
+    FINE = pot.bump_potential(-10.0, 1.0)
+    FINE_KS = np.array([0.5j, 0.8j, 1.2j])
 
     def _ks(self):
         rim = [self.KMAX * np.exp(1j * t)
@@ -120,6 +124,10 @@ class TestBatch:
             assert batch.shape == (3, 3)
             one = np.array([orc.jost_like_value(rp, k) for k in ks])
             assert np.max(np.abs(batch.ravel() - one) / np.abs(one)) < 1e-12
+        rp = _jost_channel(self.FINE, 0)
+        batch = orc.jost_like_value(rp, self.FINE_KS)
+        one = np.array([orc.jost_like_value(rp, k) for k in self.FINE_KS])
+        assert np.max(np.abs(batch - one) / np.abs(one)) < 1e-12
 
     def test_agrees_with_solve_ivp(self):
         ks = self._ks()
@@ -133,6 +141,11 @@ class TestBatch:
         ks = np.array([1.01j, 0.99j, 1e-3 + 1.0j]) * KAPPA_BUMP3_G1
         got = orc.jost_like_value(rp, ks)
         ref = np.array([_solve_ivp_jost(rp, k) for k in ks])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-7
+        # criterion 5c's scalar calls
+        rp = _jost_channel(self.FINE, 0)
+        got = np.array([orc.jost_like_value(rp, k) for k in self.FINE_KS])
+        ref = np.array([_solve_ivp_jost(rp, k) for k in self.FINE_KS])
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-7
 
     def test_no_step_crosses_the_support_edge(self):
