@@ -129,7 +129,7 @@ def _integrate_inward(rp: RadialProblem, k, y):
 
     n_st = len(_B)
     c_rad = np.append(_C[1:n_st], 1.0)[:, None]   # stage radii r + c h, then r + h
-    rejected = np.zeros(k.size, dtype=bool)
+    rejected, any_rejected = np.zeros(k.size, dtype=bool), False
     m = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while idx.size:
@@ -143,7 +143,6 @@ def _integrate_inward(rp: RadialProblem, k, y):
                           for s in range(1, n_st)]
                 ys_c = ys.view(complex)[..., 0]
             min_step = 10.0 * (r - np.nextafter(r, -np.inf))
-            any_rejected = rejected.any()
             if any_rejected:
                 stalled = rejected & (h_abs < min_step)
                 if stalled.any():
@@ -177,7 +176,8 @@ def _integrate_inward(rp: RadialProblem, k, y):
             grow = np.minimum(factor, np.where(rejected, 1.0, _MAX_FACTOR)
                               if any_rejected else _MAX_FACTOR)
             accept = err < 1.0
-            if accept.all():
+            any_rejected = not accept.all()
+            if not any_rejected:
                 h_abs *= grow
                 r, y, f = r_new, y_new, f_new
             else:
