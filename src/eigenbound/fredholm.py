@@ -18,10 +18,10 @@ DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
 k-independent geometry and symmetry once, so assemblies at distinct k are
 independent and safe to run in parallel.  It holds nothing n x n:
-stencils come from k-d tree queries on all cores, and the kernel is
-evaluated once per distinct distance of the representative rows.  The
-other k-independent arrays, moment pseudo-inverses included, are built
-per row layout: once for the representatives, per call for the full matrix.
+stencils come from a k-d tree, and the kernel is evaluated once per
+distinct distance of the representative rows.  The other k-independent
+arrays, moment pseudo-inverses included, are built per row layout: once
+for the representatives, per call for the full matrix.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class BSAssembler:
         forced = np.where(inside, forced, own)
         tree = cKDTree(self.nodes)
         for n_cand in (min(n, 3 * m), n):    # all n only if ties outrun 3m
-            near_d, near = tree.query(self.nodes, k=n_cand, workers=-1)
+            near_d, near = tree.query(self.nodes, k=n_cand)    # one thread: see README
             # forced nodes sort first; off-grid and repeated ones sort last
             again = np.any(near[:, :, None] == forced[:, None, :], axis=2)
             nbr = np.concatenate([forced, near], axis=1)
@@ -304,8 +304,7 @@ class BSAssembler:
 
         def perm(mat):
             """mat's node permutation, or None if it moves the nodes, V w or w."""
-            img = tree.query(rel @ mat.T, distance_upper_bound=1e-12 * self.ball_radius,
-                             workers=-1)[1]
+            img = tree.query(rel @ mat.T, distance_upper_bound=1e-12 * self.ball_radius)[1]
             if not np.array_equal(np.sort(img), np.arange(n)) or any(
                     np.max(np.abs(v[img] - v)) > 1e-12 * np.max(np.abs(v))
                     for v in (self.vw, self.weights)):
