@@ -112,8 +112,13 @@ def load_config(args) -> RunConfig:
         if not p.is_compact:
             raise ConfigError("eps is required for exponential-decay potentials")
         eps = 1.0
-    eps = float(eps)
-    if eps <= 0:
+    try:
+        eps = float(eps)
+        threads = args.threads or int(raw.get("threads", 1))
+        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eps, threads and seed must be numbers: {exc}")
+    if not eps > 0:
         raise ConfigError("eps must be positive")
     n_radial, n_angular = fredholm.DEFAULT_GRID
     grid_s = args.grid or raw.get("grid")
@@ -136,14 +141,26 @@ def load_config(args) -> RunConfig:
     mode = raw.get("mode", "auto")
     if mode not in ("auto", "Theorem1", "Theorem2"):
         raise ConfigError(f"mode must be auto|Theorem1|Theorem2, got {mode!r}")
-    tol = dict(raw.get("tolerances", {}))
-    if any(v <= 0 for v in tol.values() if isinstance(v, (int, float))):
-        raise ConfigError("all tolerances must be positive")
+    tol = raw.get("tolerances", {})
+    if not (isinstance(tol, dict) and set(tol) <= {"quadrature", "scan_points_per_side"}
+            and type(tol.get("quadrature", 1.0)) in (int, float)
+            and 0 < tol.get("quadrature", 1.0) < math.inf
+            and type(tol.get("scan_points_per_side", 2)) is int
+            and tol.get("scan_points_per_side", 2) >= 2):
+        raise ConfigError("tolerances may set only quadrature (a number > 0) and "
+                          f"scan_points_per_side (an integer >= 2), got {tol!r}")
     return RunConfig(p, eps, mode, n_radial, n_angular, region,
-                     args.out or raw.get("out", "."),
-                     args.threads or int(raw.get("threads", 1)),
-                     bool(args.refine), args.seed if args.seed is not None
-                     else int(raw.get("seed", 0)), tol)
+                     args.out or raw.get("out", "."), threads, bool(args.refine),
+                     seed, dict(tol))
+
+
+def _write_json(cfg: RunConfig, name: str, obj) -> str:
+    """Write obj as JSON to name in the output directory; returns the path."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, name)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+    return path
 
 
 def _functionals(cfg: RunConfig):
@@ -178,10 +195,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
             "theorem_rel_dev": rel(theorem.n_bound, tx.n_bound),
             "corollary_rel_dev": rel(corollary.n_bound, cx.n_bound),
         }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "bounds.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2)
+    path = _write_json(cfg, "bounds.json", out)
     print(f"[{mode}] constant={c:.8g} R={theorem.radius_R:.8g} "
           f"A={fn.weighted_sup:.8g} B={fn.weighted_l1:.8g}")
     print(f"  T={theorem.T_used:.8g} rho={theorem.rho_used:.8g} "
@@ -194,7 +208,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     if cfg.region is None:
         raise ConfigError("scan needs a --region RE0,RE1,IM0,IM1")
     re0, re1, im0, im1 = cfg.region
-    n_side = int(cfg.tolerances.get("scan_points_per_side", 9))
+    n_side = cfg.tolerances.get("scan_points_per_side", 9)
     ks = [complex(re, im)
           for im in np.linspace(im0, im1, n_side)
           for re in np.linspace(re0, re1, n_side)]
@@ -238,11 +252,6 @@ def _search(cfg: RunConfig):
 
 def cmd_count(cfg: RunConfig) -> int:
     comp = _search(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_plus.csv"),
-                              comp.zeros_plus)
-    zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_minus.csv"),
-                              comp.zeros_minus)
     summary = {
         "region": list(comp.region),
         "n_empirical_plus": comp.n_empirical_plus,
@@ -251,8 +260,11 @@ def cmd_count(cfg: RunConfig) -> int:
         "zeros_plus": [[z.k.real, z.k.imag, z.multiplicity] for z in comp.zeros_plus],
         "zeros_minus": [[z.k.real, z.k.imag, z.multiplicity] for z in comp.zeros_minus],
     }
-    with open(os.path.join(cfg.out_dir, "count.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(cfg, "count.json", summary)
+    zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_plus.csv"),
+                              comp.zeros_plus)
+    zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_minus.csv"),
+                              comp.zeros_minus)
     print(f"found {comp.n_empirical_plus} eigenvalues of -Delta+V, "
           f"{comp.n_empirical_minus} of -Delta-V in {comp.region}")
     return EXIT_OK
@@ -308,7 +320,7 @@ def _verify_checks(cfg: RunConfig):
     ev = fredholm.DeterminantEvaluator(p, cfg.n_radial, cfg.n_angular)
     a = ev.assembler.matrix(1.7j)
     s, log_abs = np.linalg.slogdet(np.eye(len(a)) - a @ a)
-    direct = complex(s) * scalarbounds._exp(log_abs)
+    direct = fredholm._to_value(s, log_abs)
     rel = abs(ev.det_value(1.7j) - direct) / max(abs(direct), 1e-300)
     yield _verdict("det(I-A^2) = det(I-A)det(I+A)", 1e-10 - rel, rel < 1e-10)
 
@@ -343,9 +355,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(f"  [{'pass' if ok else 'FAIL'}] {name} (margin {margin:.3e})")
         if not ok:
             failures += 1
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "verify.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
+    _write_json(cfg, "verify.json", results)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return EXIT_VIOLATION if failures else EXIT_OK
 
@@ -367,9 +377,7 @@ def cmd_compare_oracle(cfg: RunConfig) -> int:
     out = {name: val for name, val in rows}
     out["per_channel"] = rc.per_channel
     out["chain_ok"] = bool(ok)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "compare_oracle.json"), "w") as fh:
-        json.dump(out, fh, indent=2)
+    _write_json(cfg, "compare_oracle.json", out)
     if not ok:
         print("ordering chain violated")
         return EXIT_VIOLATION

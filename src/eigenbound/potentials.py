@@ -132,19 +132,15 @@ def bump_potential(v0=1.0, radius=1.0, center=(0.0, 0.0, 0.0)):
     a = float(radius)
 
     def profile(r):
-        s = r / a
-        out = np.zeros_like(s, dtype=complex)
-        m = s < 1.0
-        out[m] = v0 * np.exp(1.0 + 1.0 / (s[m] ** 2 - 1.0))
-        return out
+        # the clamp sends 1/(s^2 - 1) to -1e300 for s >= 1, where e^... is 0
+        return v0 * np.exp(1.0 + 1.0 / np.minimum(np.square(r / a) - 1.0, -1e-300))
 
     def dprofile(r):
         s = r / a
         out = np.zeros_like(s, dtype=complex)
         m = s < 1.0
         sm = s[m]
-        out[m] = v0 * np.exp(1.0 + 1.0 / (sm ** 2 - 1.0)) * \
-            (-2.0 * sm / (sm ** 2 - 1.0) ** 2) / a
+        out[m] = profile(r[m]) * (-2.0 * sm / (sm ** 2 - 1.0) ** 2) / a
         return out
 
     return _radial_potential(profile, dprofile, CompactSupport(a), a, center,

@@ -7,12 +7,15 @@ the discrete-spectral-radius bounds, and the total-multiplicity bounds
 with their corollary closed forms.  count_bounds is the one place that
 chooses between the two results (Lemma/Theorem/Corollary 1 for compact
 support, 2 for exponential decay) from the potential's decay class.
+f is summed directly up to a = 17; past that ln f(a) is the one path,
+and f(a) is its exponential, +inf exactly where f leaves the double range.
 
 Every bound is evaluated in hardware doubles by default; passing
 precision="extended" reruns the same formula in 50-digit software floats
-for cross-checking.  The bounds are carried in logarithms (ln R, ln T,
-ln q, ln ln f(q)), so a bound too large for doubles comes back as +inf
-with a finite logarithm instead of overflowing or raising.
+for cross-checking.  In each precision Theorems 1 and 2 share one body,
+and so do Corollaries 1 and 2.  The bounds are carried in logarithms
+(ln R, ln T, ln q, ln ln f(q)), so a bound too large for doubles comes
+back as +inf with a finite logarithm instead of overflowing or raising.
 Near-threshold parameters make the log ratio ln(rho/sqrt(T^2+R)) cancel
 catastrophically in doubles, so it is always computed through log1p on
 the algebraically rearranged argument.
@@ -25,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, digamma, polygamma
+from scipy.special import gammaln, logsumexp
 
 from .errors import (DegenerateK, DivergentB, InadmissibleRho, InadmissibleT,
                      ModeMismatch, NegativeLogArgument, NonConvergent,
@@ -41,15 +44,14 @@ _LN_DBL_MAX = math.log(np.finfo(float).max)
 def f_series(a: float) -> float:
     """f(a) = sum_{n>=0} n^{n/2} a^n / n!  (0^0 = 1).
 
-    Returns +inf when the value exceeds the double range; callers needing
-    the logarithm should use log_f_series instead.
+    The direct sum for a <= 17, e^{ln f(a)} above it: +inf exactly when the
+    value exceeds the double range (callers needing the logarithm use
+    log_f_series).
     """
-    if a < 0:
+    if not a >= 0:
         raise ValueError("f is defined for a >= 0")
-    if a == 0.0:
-        return 1.0
-    if 2.0 * a * a + math.log1p(a) > _LN_DBL_MAX:   # paper majorant overflows
-        return math.inf
+    if a > 17.0:
+        return _exp(log_f_series(a))
     s = 1.0
     t = a                     # n = 1 term
     n = 1
@@ -61,61 +63,36 @@ def f_series(a: float) -> float:
         q = a * math.exp(0.5) / math.sqrt(n + 1.0)  # geometric tail majorant
         if q < 0.5 and t / (1.0 - q) < 1e-15 * s:
             s += t
-            break
-        if n > 20_000_000:
-            raise RuntimeError("f_series failed to terminate")
-    return s
-
-
-def _f_peak_index(a: float) -> float:
-    """Stationary point of the log term t(n) = (n/2)ln n + n ln a - lgamma(n+1)."""
-    n = max(math.e * a * a, 2.0)
-    for _ in range(80):
-        g = 0.5 * math.log(n) + 0.5 + math.log(a) - digamma(n + 1.0)
-        gp = 0.5 / n - polygamma(1, n + 1.0)
-        step = g / gp
-        n -= step
-        if n <= 1.0:
-            n = 2.0
-        if abs(step) < 1e-9 * n:
-            break
-    return n
+            return s
 
 
 def log_f_series(a: float) -> float:
-    """ln f(a), finite for every finite a >= 0."""
-    if a < 0:
+    """ln f(a), finite for every finite a >= 0.
+
+    ln of the direct sum for a <= 17.  Above that the log terms
+    t(n) = (n/2) ln n + n ln a - ln n! peak at n* = e a^2, where
+    t''(n*) = -1/(2 n*): ln f is summed over n* +- 14 sqrt(2 n*) in chunks
+    of 10^6 terms (logsumexp per chunk, joined with logaddexp).  Past
+    a = 1e5 it is the Laplace approximation over the term index; with
+    Stirling's ln n!, t(n*) = n*/2 - ln(2 pi n*)/2, so ln f(a) = n*/2 + ln 2/2
+    to O(1/n*).
+    """
+    if not a >= 0:
         raise ValueError("f is defined for a >= 0")
-    if a == 0.0:
-        return 0.0
     if a <= 17.0:
         return math.log(f_series(a))
-    n_star = _f_peak_index(a)
-    sigma = math.sqrt(2.0 * n_star)
+    n_star = math.e * a * a
     if a > 1e5:
-        # Laplace approximation over the term index; relative error O(1/n*)
-        lt_peak = 0.5 * n_star * math.log(n_star) + n_star * math.log(a) \
-            - gammaln(n_star + 1.0)
-        curv = abs(0.5 / n_star - polygamma(1, n_star + 1.0))
-        return lt_peak + 0.5 * math.log(2.0 * math.pi / curv)
-    half = int(14.0 * sigma) + 50
-    lo = max(0, int(n_star) - half)
+        return 0.5 * n_star + 0.5 * math.log(2.0)
+    half = int(14.0 * math.sqrt(2.0 * n_star)) + 50
+    lo = int(n_star) - half
     hi = int(n_star) + half
-    m = -math.inf
-    # two passes: find max, then accumulate exp(lt - m) in chunks
-    def _lt(nv):
-        out = nv * math.log(a) - gammaln(nv + 1.0)
-        pos = nv > 0
-        out[pos] += 0.5 * nv[pos] * np.log(nv[pos])
-        return out
+    acc = -math.inf
     for c0 in range(lo, hi + 1, 1_000_000):
         nv = np.arange(c0, min(c0 + 1_000_000, hi + 1), dtype=float)
-        m = max(m, float(np.max(_lt(nv))))
-    acc = 0.0
-    for c0 in range(lo, hi + 1, 1_000_000):
-        nv = np.arange(c0, min(c0 + 1_000_000, hi + 1), dtype=float)
-        acc += float(np.sum(np.exp(_lt(nv) - m)))
-    return m + math.log(acc)
+        acc = np.logaddexp(acc, logsumexp(0.5 * nv * np.log(nv) + nv * math.log(a)
+                                          - gammaln(nv + 1.0)))
+    return float(acc)
 
 
 def f_inverse(y: float) -> float:
@@ -252,11 +229,7 @@ def hadamard_deviation_bound(c_l1: float, k: complex) -> float:
     """
     if k.imag <= 0:
         raise NonpositiveImK("Hadamard deviation bound holds in the upper half plane")
-    ak = abs(k)
-    if ak == 0.0:
-        raise DegenerateK("bound diverges at k = 0")
-    arg = c_l1 * (math.sqrt(1.0 + 4.0 * ak) + 1.0) / (2.0 * ak)
-    return f_series(arg) - 1.0
+    return f_series(lemma1_kernel_bound(c_l1, k)) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +414,14 @@ def n_bound_theorem1(fn: PotentialFunctionals, C: float,
         raise ModeMismatch("Theorem 1 requires a compactly supported potential")
     _check_eps(fn, params.eps)
     if precision == "extended":
-        return _n_bound_theorem1_mp(fn, C, params, enforce)
+        return _mp_theorem_bound(fn, C, "C", params, enforce, lambda mp, cl1, eps: (
+            (cl1 * (1 + cl1)) ** 2, 2 * cl1 * (1 + 2 * cl1),
+            lambda T: 2 * cl1 / (mp.sqrt(1 + 4 * T) - 1)))
     cl1 = C * fn.l1_norm
-    # 2 C||V||_1 / (sqrt(1+4T)-1) in rationalized form (stable for small T)
     return _theorem_bound(
         fn, C, "C", params, enforce, log_radius_bound(fn, C, "Theorem1"),
         _log(2.0 * cl1) + math.log1p(2.0 * cl1), "2C||V||1(1+2C||V||1)",
-        lambda T, ln_T: 2.0 * cl1 * (math.sqrt(1.0 + 4.0 * T) + 1.0) / (4.0 * T))
+        lambda T, ln_T: lemma1_kernel_bound(cl1, T))
 
 
 def n_bound_corollary1(fn: PotentialFunctionals, C: float, eps: float,
@@ -457,7 +431,7 @@ def n_bound_corollary1(fn: PotentialFunctionals, C: float, eps: float,
         raise ModeMismatch("Corollary 1 requires a compactly supported potential")
     _check_eps(fn, eps)
     if precision == "extended":
-        return _n_bound_corollary1_mp(fn, C, eps)
+        return _mp_corollary_bound(fn, C, "C", eps, _corollary1_mp)
     cl1 = C * fn.l1_norm
     if cl1 == 0.0:
         return _zero_report(fn, C, "C", eps)
@@ -486,7 +460,9 @@ def n_bound_theorem2(fn: PotentialFunctionals, Ct: float,
     if not math.isfinite(fn.weighted_l1):
         raise DivergentB("B(eps) must be finite")
     if precision == "extended":
-        return _n_bound_theorem2_mp(fn, Ct, params, enforce)
+        return _mp_theorem_bound(fn, Ct, "Ct", params, enforce, lambda mp, cl1, eps: (
+            cl1 ** 2 * mp.exp(2 * eps * cl1), 2 * cl1 * mp.exp(2 * eps * cl1),
+            lambda T: cl1 / mp_h_eps(eps, T)))
     cl1 = Ct * fn.l1_norm
     return _theorem_bound(
         fn, Ct, "Ct", params, enforce, log_radius_bound(fn, Ct, "Theorem2", eps),
@@ -501,7 +477,7 @@ def n_bound_corollary2(fn: PotentialFunctionals, Ct: float, eps: float,
         raise ModeMismatch("Corollary 2 requires an exponentially decaying potential")
     _check_eps(fn, eps)
     if precision == "extended":
-        return _n_bound_corollary2_mp(fn, Ct, eps)
+        return _mp_corollary_bound(fn, Ct, "Ct", eps, _corollary2_mp)
     cl1 = Ct * fn.l1_norm
     if cl1 == 0.0:
         return _zero_report(fn, Ct, "Ct", eps)
@@ -605,58 +581,17 @@ def _mp_report(fn, constant, kind, R, T, rho, eps, n_bound, diag):
                        float(n_bound), True, diag, ln(R), ln(T), ln(n_bound))
 
 
-def _mp_theorem_report(fn, constant, kind, R, T, rho, eps, hadamard_arg):
-    """Theorem 1 or 2's bound at 50 digits from R, T, rho and the argument of 2 - f."""
-    import mpmath as mp
-    floor = 2 - mp_f_series(hadamard_arg)
-    if floor <= 0:
-        raise NegativeLogArgument("2 - f(...) <= 0")
-    q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
-    bracket = mp.log(mp_f_series(q)) - mp.log(floor)
-    denom = mp.log(rho / mp.sqrt(T * T + R))
-    nb = bracket / denom if denom > 0 else mp.inf
-    return _mp_report(fn, constant, kind, R, T, rho, eps, max(nb, 0), "extended precision")
+def _mp_theorem_bound(fn, constant, kind, params, enforce, forms):
+    """Theorem 1 or 2's bound at 50 digits, in the form _theorem_bound shares.
 
-
-def _n_bound_theorem1_mp(fn, C, params, enforce):
+    forms(mp, cl1, eps) gives R, the second threshold t2 and the Hadamard
+    argument as a function of T, for cl1 = constant * ||V||_1.
+    """
     import mpmath as mp
     with mp.workdps(50):
         eps = mp.mpf(params.eps)
-        cl1 = mp.mpf(C) * mp.mpf(fn.l1_norm)
-        R = (cl1 * (1 + cl1)) ** 2
-        t_lower = max(2 * R / eps - eps / 8, 2 * cl1 * (1 + 2 * cl1))
-        T = mp.mpf(params.T) if params.T is not None else \
-            (mp.mpf("1.01") * t_lower if t_lower > 0 else eps)
-        if enforce and T <= t_lower:
-            raise InadmissibleT(f"T={float(T):.6g} below threshold {float(t_lower):.6g}")
-        rho = T + eps / 4
-        return _mp_theorem_report(fn, C, "C", R, T, rho, eps,
-                                  2 * cl1 / (mp.sqrt(1 + 4 * T) - 1))
-
-
-def _n_bound_corollary1_mp(fn, C, eps):
-    import mpmath as mp
-    with mp.workdps(50):
-        eps = mp.mpf(eps)
-        cl1 = mp.mpf(C) * mp.mpf(fn.l1_norm)
-        if cl1 == 0:
-            return _mp_report(fn, C, "C", 0, eps, eps, eps, 0, "zero potential")
-        L = cl1 * (1 + cl1)
-        T = 4 * L * L / eps if eps / 2 <= L else 2 * cl1 * (1 + 2 * cl1)
-        m = min(eps / (2 * cl1), (1 + cl1) ** 2 / (1 + 2 * cl1))
-        denom = mp.log(1 + m * m / (4 * (1 + cl1) ** 2))
-        q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
-        nb = 2 * (3 + 2 * q * q + mp.log(1 + q)) / denom
-        return _mp_report(fn, C, "C", L * L, T, T + eps / 4, eps, nb, "extended precision")
-
-
-def _n_bound_theorem2_mp(fn, Ct, params, enforce):
-    import mpmath as mp
-    with mp.workdps(50):
-        eps = mp.mpf(params.eps)
-        cl1 = mp.mpf(Ct) * mp.mpf(fn.l1_norm)
-        R = cl1 ** 2 * mp.exp(2 * eps * cl1)
-        t_lower = max(2 * R / eps - eps / 8, 2 * cl1 * mp.exp(2 * eps * cl1))
+        R, t2, hadamard_arg = forms(mp, mp.mpf(constant) * mp.mpf(fn.l1_norm), eps)
+        t_lower = max(2 * R / eps - eps / 8, t2)
         T = mp.mpf(params.T) if params.T is not None else \
             (mp.mpf("1.01") * t_lower if t_lower > 0 else eps)
         if enforce and T <= t_lower:
@@ -664,24 +599,50 @@ def _n_bound_theorem2_mp(fn, Ct, params, enforce):
         rho = T + eps / 4
         if enforce and rho < mp.sqrt(T * T + R):
             raise InadmissibleRho("rho = T + eps/4 not above sqrt(T^2+R)")
-        return _mp_theorem_report(fn, Ct, "Ct", R, T, rho, eps, cl1 / mp_h_eps(eps, T))
+        floor = 2 - mp_f_series(hadamard_arg(T))
+        if floor <= 0:
+            raise NegativeLogArgument("2 - f(...) <= 0")
+        q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
+        bracket = mp.log(mp_f_series(q)) - mp.log(floor)
+        denom = mp.log(rho / mp.sqrt(T * T + R))
+        nb = bracket / denom if denom > 0 else mp.inf
+        return _mp_report(fn, constant, kind, R, T, rho, eps, max(nb, 0),
+                          "extended precision")
 
 
-def _n_bound_corollary2_mp(fn, Ct, eps):
+def _mp_corollary_bound(fn, constant, kind, eps, forms):
+    """Corollary 1 or 2 at 50 digits: N(V) <= 2(3 + 2q^2 + ln(1+q)) / denominator.
+
+    forms(mp, cl1, eps) gives R, the corollary's T and its denominator.
+    """
     import mpmath as mp
     with mp.workdps(50):
         eps = mp.mpf(eps)
-        cl1 = mp.mpf(Ct) * mp.mpf(fn.l1_norm)
+        cl1 = mp.mpf(constant) * mp.mpf(fn.l1_norm)
         if cl1 == 0:
-            return _mp_report(fn, Ct, "Ct", 0, eps, eps, eps, 0, "zero potential")
-        if eps <= 2 * cl1:
-            M = cl1 * mp.exp(eps * cl1)
-            T = 4 * M * M / eps
-        else:
-            T = 2 * cl1 * mp.exp(2 * eps * cl1)
-        m = min(mp.mpf(1), eps / (2 * cl1))
-        denom = mp.log(1 + m * m * mp.exp(-2 * cl1) / 4)
+            return _mp_report(fn, constant, kind, 0, eps, eps, eps, 0, "zero potential")
+        R, T, denom = forms(mp, cl1, eps)
         q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)
         nb = 2 * (3 + 2 * q * q + mp.log(1 + q)) / denom
-        R = cl1 ** 2 * mp.exp(2 * eps * cl1)
-        return _mp_report(fn, Ct, "Ct", R, T, T + eps / 4, eps, nb, "extended precision")
+        return _mp_report(fn, constant, kind, R, T, T + eps / 4, eps, nb,
+                          "extended precision")
+
+
+def _corollary1_mp(mp, cl1, eps):
+    """Corollary 1's R, T and denominator at 50 digits."""
+    L = cl1 * (1 + cl1)
+    T = 4 * L * L / eps if eps / 2 <= L else 2 * cl1 * (1 + 2 * cl1)
+    m = min(eps / (2 * cl1), (1 + cl1) ** 2 / (1 + 2 * cl1))
+    return L * L, T, mp.log(1 + m * m / (4 * (1 + cl1) ** 2))
+
+
+def _corollary2_mp(mp, cl1, eps):
+    """Corollary 2's R, T and denominator at 50 digits."""
+    if eps <= 2 * cl1:
+        M = cl1 * mp.exp(eps * cl1)
+        T = 4 * M * M / eps
+    else:
+        T = 2 * cl1 * mp.exp(2 * eps * cl1)
+    m = min(mp.mpf(1), eps / (2 * cl1))
+    return (cl1 ** 2 * mp.exp(2 * eps * cl1), T,
+            mp.log(1 + m * m * mp.exp(-2 * cl1) / 4))

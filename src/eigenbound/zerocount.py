@@ -264,11 +264,9 @@ def jensen_bound(fn, center: complex, rho: float, inner_radius: float,
     precomputed (log_ratio_denominator) when rho and inner_radius are so
     close that forming their ratio in doubles would cancel.
     """
-    def log_abs(z):
-        v = abs(complex(fn(z)))
-        return math.log(v) if v > 0.0 else -math.inf
-    return jensen_bound_log(log_abs, center, rho, inner_radius, n_theta,
-                            n_theta_max, log_ratio_denominator)
+    return jensen_bound_log(lambda z: scalarbounds._log(abs(complex(fn(z)))), center,
+                            rho, inner_radius, n_theta, n_theta_max,
+                            log_ratio_denominator)
 
 
 def jensen_bound_log(log_abs, center: complex, rho: float, inner_radius: float,
@@ -514,15 +512,7 @@ class EmpiricalComparison:
     functionals: object
 
 
-def _is_real_potential(p):
-    from . import grids
-    pts = grids.ball_sample(0.8 * p.truncation_radius, 48, p.center, seed=1)
-    v = p.value_fn(pts)
-    scale = float(np.max(np.abs(v)))
-    return scale == 0.0 or float(np.max(np.abs(v.imag))) < 1e-13 * scale
-
-
-def default_search_region(p, fn, eps, mirror=False):
+def default_search_region(fn, eps, real):
     """k-plane rectangle covering every possible eigenvalue momentum.
 
     For real V, -Delta+V is self-adjoint and its discrete spectrum lies in
@@ -540,22 +530,17 @@ def default_search_region(p, fn, eps, mirror=False):
     Re k in [-8, 8], and a full-width root contour fails with
     NonConvergent for both signs.  For complex V the region must cover
     the numerical range |lambda| <= sqrt(2)||V||_inf, so it reaches
-    |Re k|, Im k >= (sqrt(2)||V||_inf)^{1/2}.
-
-    With mirror set (see locate_zeros) it is symmetric about the imaginary
-    axis; otherwise it reaches 1.7% further left than right, so that cuts
-    across Re k never land on the axis.
+    |Re k|, Im k >= (sqrt(2)||V||_inf)^{1/2}.  Either region is symmetric
+    about the imaginary axis.
     """
     lam_max = max(fn.linf_norm, 1e-9)
-    skew = 1.0 if mirror else 1.017
-    if _is_real_potential(p):
+    if real:
         kmax = math.sqrt(lam_max) * 1.1 + 0.2
-        margin = max(min(eps / 8.0, 0.05 * kmax), 5e-3)
         half_w = max(0.35, 0.04 * kmax)
-        return (-skew * half_w, half_w, margin, kmax + margin)
-    kmax = math.sqrt(math.sqrt(2.0) * lam_max) * 1.1 + 0.1
+    else:
+        kmax = half_w = math.sqrt(math.sqrt(2.0) * lam_max) * 1.1 + 0.1
     margin = max(min(eps / 8.0, 0.05 * kmax), 5e-3)
-    return (-skew * kmax, kmax, margin, kmax + margin)
+    return (-half_w, half_w, margin, kmax + margin)
 
 
 def empirical_vs_bound(p, eps: float, mode: str,
@@ -570,16 +555,18 @@ def empirical_vs_bound(p, eps: float, mode: str,
     -Delta + V), det(I - A) (eigenvalues of -Delta - V) and their union
     (zeros of D) inside the search region and checks
     N_emp(V) <= N_D <= n_bound.  Each k is assembled once: the det(I + A)
-    search factors both signs there.  When V is real on the grid,
-    A(-conj k) = conj A(k), and a symmetric region is searched mirrored.
+    search factors both signs there.  V counts as real when every value of
+    it on the grid has imaginary part 0; then A(-conj k) = conj A(k), the
+    default region is the real-V strip, and a symmetric region is searched
+    mirrored.
     """
     fn = potentials.measure_functionals(p, eps, quad)
     report = scalarbounds.count_bounds(fn, mode)[2]
     ev = fredholm.DeterminantEvaluator(p, n_radial, n_angular)
-    mirror = not np.any(np.imag(ev.assembler.vvals))
+    real = not np.any(np.imag(ev.assembler.vvals))
     if region is None:
-        region = default_search_region(p, fn, eps, mirror)
-    mirror = mirror and region[0] == -region[1]
+        region = default_search_region(fn, eps, real)
+    mirror = real and region[0] == -region[1]
 
     def det_plus(k):
         ev.factors(k, (+1.0, -1.0))
@@ -620,10 +607,10 @@ def jensen_chain(evaluator, report, located_inner_count: int,
     value is held to the theorem in logarithms, so the comparison still
     means something when the theorem's n_bound is +inf.
     """
-    from .scalarbounds import log_ratio_log
     T = report.T_used
     delta = report.rho_used - T
-    denom = math.exp(log_ratio_log(report.log_T, report.log_radius_R, delta))
+    denom = math.exp(scalarbounds.log_ratio_log(report.log_T, report.log_radius_R,
+                                                delta))
     jr = jensen_bound_log(evaluator.log_abs_det, 1j * T, report.rho_used,
                           math.sqrt(T * T + report.radius_R),
                           n_theta=n_theta, n_theta_max=n_theta_max,

@@ -67,6 +67,15 @@ class TestConfig:
         cfg = _write_config(tmp_path, dict(BUMP_CFG, tolerances={"quadrature": -1}))
         assert cli.main(["--config", cfg, "bounds"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("body", [
+        {"eps": "abc"}, {"seed": "x"}, {"threads": [2]},
+        {"tolerances": {"quadrature": "tight"}}, {"tolerances": {"quadratur": 1e-5}},
+        {"tolerances": {"scan_points_per_side": 1}}, {"tolerances": [1e-5]}])
+    def test_malformed_values_exit_3(self, tmp_path, capsys, body):
+        cfg = _write_config(tmp_path, dict(BUMP_CFG, **body))
+        assert cli.main(["--config", cfg, "bounds"]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_zero_family(self, tmp_path):
         cfg = _write_config(tmp_path, {"potential": {"family": "zero"}, "eps": 1.0})
         assert cli.main(["--config", cfg, "bounds",
@@ -311,6 +320,21 @@ class TestCount:
         assert data["n_empirical_plus"] == 0
         assert data["n_determinant"] == 0
         assert os.path.exists(out / "zeros_plus.csv")
+
+    def test_readme_bump_zero_row(self, tmp_path):
+        # the README config has one bound state: its zeros_plus.csv row is
+        # the one count.json reports
+        cfg = _write_config(tmp_path, dict(BUMP_CFG, potential={
+            "family": "bump", "parameters": {"v0": [-1.0, 0.0], "radius": 3.0}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "count"]) == cli.EXIT_OK
+        data = json.loads((out / "count.json").read_text())
+        rows = list(csv.DictReader(open(out / "zeros_plus.csv")))
+        assert data["n_empirical_plus"] == 1 and len(rows) == 1
+        (re_k, im_k, mult), = data["zeros_plus"]
+        assert (float(rows[0]["re_k"]), float(rows[0]["im_k"]),
+                int(rows[0]["multiplicity"])) == (re_k, im_k, mult)
+        assert float(rows[0]["im_lambda"]) == 2.0 * re_k * im_k
 
     def test_mode_mismatch_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path, dict(WEAK_BUMP_CFG, mode="Theorem2"))

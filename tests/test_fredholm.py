@@ -496,6 +496,15 @@ class TestSeriesTerms:
         assert residuals[0] > 3.0 * residuals[1] > 9.0 * residuals[2] / 1.5
         assert residuals[2] < 1e-4
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_route_is_characteristic_coefficient(self, bump_unit, n):
+        # (-1)^n e_n(A^2), the coefficient np.poly gives, on a 12-node grid
+        grid = fr.build_grid(bump_unit, 2, 6)
+        a = fr.BSAssembler(bump_unit, *grid).matrix(1.3j)
+        term = fr.fredholm_series_term(n, 1.3j, bump_unit, grid=grid, route="matrix")
+        assert len(a) == 12
+        assert term == pytest.approx(np.poly(a @ a)[n], rel=1e-10)
+
     def test_too_many_terms(self, bump_unit):
         with pytest.raises(TooManyTerms):
             fr.fredholm_series_term(4, 1j, bump_unit)

@@ -43,6 +43,14 @@ class TestFSeries:
 
     def test_overflow_flagged_as_inf(self):
         assert math.isinf(sb.f_series(50.0))
+        # finite while it fits a double: f(20) = 1.8e236
+        assert sb.f_series(20.0) == pytest.approx(math.exp(sb.log_f_series(20.0)),
+                                                  rel=1e-12)
+
+    def test_log_f_continuous_across_laplace_switch(self):
+        # the chunked sum up to a = 1e5, the Laplace form past it
+        above = sb.log_f_series(math.nextafter(1e5, 2e5))
+        assert above == pytest.approx(sb.log_f_series(1e5), rel=1e-12)
 
     def test_log_f_matches_direct_small(self):
         for a in (0.2, 1.0, 5.0, 16.0):

@@ -220,6 +220,13 @@ class TestLocateZeros:
         z = res.zeros[0]
         assert z.lam == pytest.approx(z.k * z.k, rel=1e-12)
 
+    def test_root_contour_through_zero_is_widened(self):
+        # the bottom edge's midpoint sample is the zero: the root box is
+        # widened once, and the zero is found inside it
+        res = zc.locate_zeros(lambda k: k - 0.5j, (-1, 1, 0.5, 2), 1e-3)
+        assert res.resolution_flags["jitter_used"] == 1
+        assert len(res.zeros) == 1 and abs(res.zeros[0].k - 0.5j) < 1e-12
+
     def test_count_consistency_flag(self):
         f = lambda k: (k - (0.5 + 1.5j)) * (k - (0.50002 + 1.50002j))
         res = zc.locate_zeros(f, (-2, 2, 0.5, 3), 1e-4)
@@ -278,7 +285,7 @@ class TestSearchRegion:
         # real V: -Delta+V is self-adjoint, so every eigenvalue lies in
         # [-||V||_inf, 0) and its momentum i sqrt|lambda| on the positive
         # imaginary axis below sqrt(||V||_inf)
-        region = zc.default_search_region(bump_unit, bump_unit_functionals, 1.0)
+        region = zc.default_search_region(bump_unit_functionals, 1.0, True)
         re0, re1, im0, im1 = region
         assert re0 < 0 < re1
         assert im1 >= math.sqrt(bump_unit_functionals.linf_norm)
@@ -286,7 +293,7 @@ class TestSearchRegion:
         # complex V: the momenta fill the numerical range |lambda| <= sqrt2 ||V||_inf
         p = pot.bump_potential(np.exp(1j * np.pi / 6), 1.0)
         fn = pot.measure_functionals(p, 1.0)
-        re0, re1, im0, im1 = zc.default_search_region(p, fn, 1.0)
+        re0, re1, im0, im1 = zc.default_search_region(fn, 1.0, False)
         kmax = math.sqrt(math.sqrt(2.0) * fn.linf_norm)
         assert re1 >= kmax and im1 >= kmax
         assert 0 < im0 <= 1.0 / 8.0
