@@ -138,8 +138,7 @@ def iterated_kernel(k: complex, x, y, p: Potential,
     return val, delta
 
 
-def hs_identity_check(k: complex, p: Potential,
-                      quad: QuadratureSpec | None = None):
+def hs_identity_check(k: complex, p: Potential):
     """Both sides of int int |e^{ik|x-y|}/|x-y| V(y)|^2 = (2 pi / Im k) ||V||_2^2.
 
     The x integral reduces per fixed y to 4 pi int_0^inf e^{-2 Im k r} dr,
@@ -149,7 +148,7 @@ def hs_identity_check(k: complex, p: Potential,
     """
     if k.imag <= 0.0:
         raise NonpositiveImK("identity requires Im k > 0")
-    quad = quad or QuadratureSpec()
+    quad = QuadratureSpec()
     beta = 2.0 * k.imag
     r_cut = 40.0 / beta
     r, wr = grids.radial_rule(0.0, r_cut, 64)
@@ -231,8 +230,7 @@ def ellipsoid_max_grad(p: Potential, x, y, r):
     return best
 
 
-def proposition_bound(k: complex, x, y, p: Potential,
-                      quad: QuadratureSpec | None = None) -> float:
+def proposition_bound(k: complex, x, y, p: Potential) -> float:
     """(1/8|k|) ( ||V||_inf / pi + (1/sqrt2) int_c^inf max_E |grad V| r dr / sqrt(r^2-c^2) ).
 
     The r integral substitutes r = c cosh(u) to remove the endpoint
@@ -242,7 +240,7 @@ def proposition_bound(k: complex, x, y, p: Potential,
     ak = abs(k)
     if ak == 0.0:
         raise DegenerateK("estimate carries a 1/|k| prefactor")
-    quad = quad or QuadratureSpec(n_samples=2048)
+    quad = QuadratureSpec(n_samples=2048)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     c = 0.5 * float(np.linalg.norm(x - y))

@@ -301,7 +301,7 @@ def _exp_truncation_radius(eps, amp, center_norm=0.0):
 # ---------------------------------------------------------------------------
 # functional measurement
 
-def _sup_over_ball(f, radius, center, spec, extra_pts=None):
+def _sup_over_ball(f, radius, center, spec):
     """Deterministic low-discrepancy sup estimate with local pattern refinement.
 
     A radial fan through the center is always included so that radially
@@ -312,7 +312,7 @@ def _sup_over_ball(f, radius, center, spec, extra_pts=None):
     radii = np.linspace(0.0, radius, 97)
     fan = (np.asarray(center)[None, None, :] +
            radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    pts = np.vstack([pts, fan] if extra_pts is None else [pts, fan, extra_pts])
+    pts = np.vstack([pts, fan])
     vals = f(pts)
     i = int(np.argmax(vals))
     x, v = grids.refine_maximum(f, pts[i], radius / math.sqrt(spec.n_samples) * 2.0,

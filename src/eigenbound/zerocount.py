@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -254,29 +254,26 @@ class JensenResult:
     converged: bool
 
 
-def jensen_bound(fn, center: complex, rho: float, inner_radius: float,
-                 n_theta: int = 64, n_theta_max: int = 8192,
-                 log_ratio_denominator: Optional[float] = None) -> JensenResult:
+def jensen_bound(fn, center: complex, rho: float, inner_radius: float) -> JensenResult:
     """Numeric Nevanlinna-Jensen bound.
 
     rhs = mean_theta ln|fn(center + rho e^{i theta})| - ln|fn(center)|;
-    n_bound = rhs / ln(rho/inner_radius).  The denominator can be passed
-    precomputed (log_ratio_denominator) when rho and inner_radius are so
-    close that forming their ratio in doubles would cancel.
+    n_bound = rhs / ln(rho/inner_radius).
     """
     return jensen_bound_log(lambda z: scalarbounds._log(abs(complex(fn(z)))), center,
-                            rho, inner_radius, n_theta, n_theta_max,
-                            log_ratio_denominator)
+                            rho, inner_radius, math.log(rho / inner_radius))
 
 
 def jensen_bound_log(log_abs, center: complex, rho: float, inner_radius: float,
-                     n_theta: int = 64, n_theta_max: int = 8192,
-                     log_ratio_denominator: Optional[float] = None) -> JensenResult:
-    """jensen_bound from log_abs(z) = ln|fn(z)| itself.
+                     log_ratio_denominator: float, n_theta: int = 64,
+                     n_theta_max: int = 8192) -> JensenResult:
+    """jensen_bound from log_abs(z) = ln|fn(z)| itself, over a given ln(rho/inner_radius).
 
     For functions whose modulus leaves the double range on the circle
     (a determinant continued below the real axis); ln|fn| = -inf means a
-    zero, a NaN logarithm raises NonConvergent.
+    zero, a NaN logarithm raises NonConvergent.  The denominator comes
+    precomputed, since forming rho/inner_radius in doubles cancels when
+    the two are close.
     """
     if rho <= inner_radius:
         raise ValueError(f"need rho > inner_radius, got {rho} <= {inner_radius}")
@@ -308,9 +305,7 @@ def jensen_bound_log(log_abs, center: complex, rho: float, inner_radius: float,
             break
         prev = cur
     rhs = prev - phi0
-    denom = log_ratio_denominator if log_ratio_denominator is not None \
-        else math.log(rho / inner_radius)
-    return JensenResult(rhs, rhs / denom, n, converged)
+    return JensenResult(rhs, rhs / log_ratio_denominator, n, converged)
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.46, 0.57, 0.43, 0.61)
@@ -612,9 +607,8 @@ def jensen_chain(evaluator, report, located_inner_count: int,
     denom = math.exp(scalarbounds.log_ratio_log(report.log_T, report.log_radius_R,
                                                 delta))
     jr = jensen_bound_log(evaluator.log_abs_det, 1j * T, report.rho_used,
-                          math.sqrt(T * T + report.radius_R),
-                          n_theta=n_theta, n_theta_max=n_theta_max,
-                          log_ratio_denominator=denom)
+                          math.sqrt(T * T + report.radius_R), denom,
+                          n_theta=n_theta, n_theta_max=n_theta_max)
     chain_ok = (located_inner_count <= jr.n_bound + 1e-9 and
                 (jr.n_bound <= 1e-9 or
                  math.log(jr.n_bound) <= report.log_n_bound + 1e-9))

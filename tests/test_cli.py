@@ -70,7 +70,8 @@ class TestConfig:
     @pytest.mark.parametrize("body", [
         {"eps": "abc"}, {"seed": "x"}, {"threads": [2]},
         {"tolerances": {"quadrature": "tight"}}, {"tolerances": {"quadratur": 1e-5}},
-        {"tolerances": {"scan_points_per_side": 1}}, {"tolerances": [1e-5]}])
+        {"tolerances": {"scan_points_per_side": 1}}, {"tolerances": [1e-5]},
+        {"grid": "1x38"}, {"grid": "12x1"}, {"grid": "-3x38"}])
     def test_malformed_values_exit_3(self, tmp_path, capsys, body):
         cfg = _write_config(tmp_path, dict(BUMP_CFG, **body))
         assert cli.main(["--config", cfg, "bounds"]) == cli.EXIT_CONFIG
@@ -269,6 +270,14 @@ class TestVerify:
         results = json.loads((out / "verify.json").read_text())
         names = {r["check"] for r in results}
         assert any("lemma2" in n for n in names)
+        # the Hadamard row holds Theorem 2's own step, f(C~||V||_1/h_eps(T)) - 1
+        assert cli.main(["--config", cfg, "--out", str(out), "bounds"]) == cli.EXIT_OK
+        bounds = json.loads((out / "bounds.json").read_text())
+        theorem = bounds["theorem"]
+        had = scalarbounds.f_series(theorem["constant"] * bounds["functionals"]["l1_norm"]
+                                    / scalarbounds.h_eps(0.5, theorem["T_used"])) - 1.0
+        (margin,) = [r["margin"] for r in results if "D(iT)" in r["check"]]
+        assert margin < 1.01 * had
 
     def test_builds_one_assembler(self, tmp_path, monkeypatch):
         built = _count_assemblers(monkeypatch)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -274,6 +275,46 @@ class TestHelmholtzMoments:
         assert s.real == pytest.approx((3 * 9 - 1) / 6, rel=1e-7)
         d = fr.ball_helmholtz_dipole(1e-8 + 0j, np.array([1.2]), 3.0)[0]
         assert d.real == pytest.approx(1.2 ** 3 / 15 + 1.2 * (9 - 1.44) / 6, rel=1e-6)
+
+    @staticmethod
+    def _closed_forms(k, rho, radius):
+        # S and D as the docstrings write them, through sin and cos at 80
+        # digits: at |k rho| ~ 1e-6 the j_n forms cancel like (k rho)^-5
+        with mp.workdps(80):
+            k, rho, radius = mp.mpc(k), mp.mpf(rho), mp.mpf(radius)
+            y = k * rho
+            sin, cos, e = mp.sin(y), mp.cos(y), mp.exp(1j * y)
+            j0, j1 = sin / y, sin / y ** 2 - cos / y
+            j2 = (3 / y ** 3 - 1 / y) * sin - 3 * cos / y ** 2
+            # antiderivatives of s e^{iks} and s^2 e^{iks}
+            a1 = lambda s: (s / (1j * k) + 1 / k ** 2) * mp.exp(1j * k * s)
+            a2 = lambda s: (s ** 2 / (1j * k) + 2 * s / k ** 2 - 2 / (1j * k ** 3)) \
+                * mp.exp(1j * k * s)
+            big_j1 = (a1(radius) - a1(rho)) / mp.exp(1j * y)
+            big_j2 = (a2(radius) - a2(rho)) / mp.exp(1j * y)
+            s = rho * e * j1 / k + e * j0 * big_j1
+            d = -(1j / k ** 3) * (y + 1j) * y * e * j2 + e * j1 * (big_j1 / k - 1j * big_j2)
+            return complex(s), complex(d)
+
+    def test_against_80_digit_closed_forms(self):
+        fractions = np.array([0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9, 0.999])
+        for k in (0.2j, 0.05 + 0.1j, 0.3 + 0.8j, 0.001 + 0.01j, 2 + 0.1j, 0.5 - 0.05j,
+                  1.7 + 0.4j, 5 + 3j, 12 + 0.5j):
+            for radius in (1.0, 3.0, 8.0):
+                rho = fractions * radius
+                s = fr.ball_helmholtz_potential(k, rho, radius)
+                d = fr.ball_helmholtz_dipole(k, rho, radius)
+                ref = np.array([self._closed_forms(k, r, radius) for r in rho])
+                assert np.max(np.abs(s - ref[:, 0]) / np.abs(ref[:, 0])) < 1e-12
+                assert np.max(np.abs(d - ref[:, 1]) / np.abs(ref[:, 1])) < 1e-12
+
+    def test_mirror_is_conjugate(self):
+        # A(-conj k) = conj A(k) for real V, which the mirror search relies on
+        rho = np.linspace(0.0, 3.0, 31)
+        for k in (0.3 + 0.8j, 2 + 0.1j, 0.001 + 0.01j, 12 + 0.5j, 0.5 - 0.05j, 3 - 0.2j):
+            for moment in (fr.ball_helmholtz_potential, fr.ball_helmholtz_dipole):
+                assert np.array_equal(moment(-k.conjugate(), rho, 3.0),
+                                      np.conj(moment(k, rho, 3.0)))
 
 
 class TestDeterminant:
