@@ -18,12 +18,13 @@ blocks' LU determinants, one per block at its own size, in log-magnitude
 DeterminantEvaluator is the one way to a determinant: it memoizes the
 (phase, log|det|) factors per k and sign.  BSAssembler precomputes the
 k-independent geometry and symmetry once, so assemblies at distinct k are
-independent and safe to run in parallel.  It holds nothing n x n:
-stencils come from a k-d tree, the kernel is evaluated once per distinct
-distance of the representative rows and the ball moments once per
-distinct radius.  The other k-independent arrays, moment pseudo-inverses
-included, are built per row layout: once for the representatives, per
-call for the full matrix.
+independent and safe to run in parallel.  It holds nothing n x n: it finds
+the group first, picks the representative rows' stencils from their
+distance rows and carries them to the other rows by the group, evaluates
+the kernel once per distinct distance of those rows and the ball moments
+once per distinct radius.  Its other k-independent arrays, moment
+pseudo-inverses included, are built per row layout: once for the
+representatives, per call for the full matrix.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
-from scipy.spatial.transform import Rotation
 
 from . import grids
 from .errors import ContinuationOutOfStrip, NonConvergent, TooManyTerms
@@ -128,6 +126,12 @@ def ball_helmholtz_dipole(k: complex, rho, radius: float):
     return ball_helmholtz_moments(k, rho, radius)[1]
 
 
+def _turn(angle, flip=1.0):
+    """The rotation by angle about the z axis, then z -> flip z."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, flip]])
+
+
 def _check_strip(k: complex, p: Potential, radius: float):
     """Admit k where the continued kernel is defined and its entries are doubles.
 
@@ -175,12 +179,13 @@ class BSAssembler:
         self.node_rho = np.linalg.norm(self.nodes - center[None, :], axis=1)
         self.node_hat = ((self.nodes - center[None, :]) /
                          np.where(self.node_rho > 0, self.node_rho, 1.0)[:, None])
-        self._prepare_moment_stencils()
-        self._prepare_blocks()
-        self._rep_dist, self._rep_index = self._distance_table(self._reps, self._slots)
+        perms = self._prepare_blocks()
+        d = self._distances(self._reps)
+        self._rep_dist, self._rep_index = self._distance_table(self._reps, self._slots, d)
+        self._prepare_moment_stencils(d, perms)
         self._rep_layout = self._layout(self._reps, self._slots)
 
-    def _prepare_moment_stencils(self):
+    def _prepare_moment_stencils(self, key, perms):
         """Per-row neighbor sets for the local moment corrections.
 
         Nearest nodes cluster on the node's own radial shell (nearly
@@ -189,76 +194,65 @@ class BSAssembler:
         keep the linear moments well posed.  The nearest nodes fill the
         stencil to N_NEIGHBORS, closed under distance ties: every node as
         near as the last one taken (to 1e-10 relative) joins, so mirror
-        rows get mirror stencils.  Candidates are each row's 3 N_NEIGHBORS
-        nearest nodes from a k-d tree plus its forced nodes, which can lie
-        beyond them.  Rows are padded to one length with their
-        next-nearest nodes, masked out of the moments (`stencil_mask`
-        marks the real members).
+        rows get mirror stencils.  They are picked from the representatives'
+        distance rows (key, overwritten), and every other row's stencil is
+        its representative's image under the group (perms).  Rows are
+        padded to one length with their next-nearest nodes, masked out of
+        the moments (`stencil_mask` marks the real members).
         """
         n = len(self.weights)
         m = min(self.N_NEIGHBORS, n)
-        n_ang = self._n_angular_layout()
-        own = np.arange(n)[:, None]
-        forced = own + np.array(sorted({0, n_ang, -n_ang}))[None, :]
-        inside = (forced >= 0) & (forced < n)
-        forced = np.where(inside, forced, own)
-        tree = cKDTree(self.nodes)
-        for n_cand in (min(n, 3 * m), n):    # all n only if ties outrun 3m
-            near_d, near = tree.query(self.nodes, k=n_cand)    # one thread: see README
-            # forced nodes sort first; off-grid and repeated ones sort last
-            again = np.any(near[:, :, None] == forced[:, None, :], axis=2)
-            nbr = np.concatenate([forced, near], axis=1)
-            nd = np.concatenate([np.where(inside, -1.0, np.inf),
-                                 np.where(again, np.inf, near_d)], axis=1)
-            order = np.argsort(nd, axis=1, kind="stable")
-            nbr = np.take_along_axis(nbr, order, axis=1)
-            nd = np.take_along_axis(nd, order, axis=1)
-            cut = nd[:, m - 1] * (1.0 + 1e-10)
-            n_real = np.sum(nd <= cut[:, None], axis=1)
-            if np.all(near_d[:, -1] > cut):
-                break
-        width = int(np.max(n_real))
-        self.nbr = nbr[:, :width]
-        self.stencil_mask = np.arange(width)[None, :] < n_real[:, None]
-
-    def _n_angular_layout(self):
-        """Angular block size of the (shell-major, direction-minor) node layout."""
+        # the angular block size of a (shell-major, direction-minor) layout
         rho = self.node_rho
-        count = int(np.sum(np.abs(rho - rho[0]) < 1e-9 * max(rho[0], 1.0)))
-        return count if count > 1 and len(rho) % count == 0 else 0
+        n_ang = int(np.sum(np.abs(rho - rho[0]) < 1e-9 * max(rho[0], 1.0)))
+        n_ang = n_ang if n_ang > 1 and n % n_ang == 0 else 0
+        forced = self._reps[:, None] + np.array(sorted({0, n_ang, -n_ang}))[None, :]
+        inside = (forced >= 0) & (forced < n)
+        # forced nodes, the row's own among them, sort first
+        key[np.nonzero(inside)[0], forced[inside]] = -1.0
+        cut = np.partition(key, m - 1, axis=1)[:, m - 1] * (1.0 + 1e-10)
+        n_real = np.sum(key <= cut[:, None], axis=1)
+        width = int(np.max(n_real))
+        near = np.argpartition(key, width - 1, axis=1)[:, :width]
+        near = np.take_along_axis(near, np.argsort(np.take_along_axis(key, near, axis=1),
+                                                   axis=1, kind="stable"), axis=1)
+        # every node is the image perm_h(rep s) of the one slot (h, s) holding it
+        h, s = np.divmod(np.argsort(self._slots)[len(self._slots) - n:], len(self._reps))
+        self.nbr = perms[h[:, None], near[s]]
+        self.stencil_mask = np.arange(width)[None, :] < n_real[s, None]
 
     def _prepare_blocks(self):
         """G = C_m x <z -> -z> about V's centre: the rotations by multiples of 2 pi/m
         about the z axis and the mirror z -> -z that map the nodes onto themselves
-        (to 1e-12 of the ball radius) and fix V w and w (to 1e-12 of their largest
-        entry), m the largest divisor of the node count on the ring farthest from
-        the axis that does; both generators must map every stencil onto its image's.
-        The block of chi(a, b) = e^{2 pi i ja/m} (-1)^{pb} holds the orbits whose
-        stabilizer lies in ker chi: M_chi[r, s] = sum_{j in orbit(s)} chi(g_j) A[r, j]."""
+        (images matched among nodes of equal radius, to 1e-12 of the ball radius)
+        and fix V w and w (to 1e-12 of their largest entry), m the largest divisor
+        of the node count on the ring farthest from the axis that does; returns G's
+        node permutations.  The block of chi(a, b) = e^{2 pi i ja/m} (-1)^{pb} holds
+        the orbits whose stabilizer lies in ker chi:
+        M_chi[r, s] = sum_{j in orbit(s)} chi(g_j) A[r, j]."""
         n = len(self.weights)
         rel = self.nodes - np.asarray(self.potential.center, dtype=float)
-        tree = cKDTree(rel)
-        own = np.sort(np.where(self.stencil_mask, self.nbr, n), axis=1)
+        by_rho = np.argsort(self.node_rho, kind="stable")
+        shells = np.split(by_rho, np.flatnonzero(
+            np.diff(self.node_rho[by_rho]) > 1e-9 * self.ball_radius) + 1)
 
         def perm(mat):
             """mat's node permutation, or None if it moves the nodes, V w or w."""
-            img = tree.query(rel @ mat.T, distance_upper_bound=1e-12 * self.ball_radius)[1]
-            if not np.array_equal(np.sort(img), np.arange(n)) or any(
+            img = np.empty(n, dtype=int)
+            for shell in shells:       # on a shell the nearest node is the most aligned
+                img[shell] = shell[np.argmax(rel[shell] @ mat.T @ rel[shell].T, axis=1)]
+            if not np.array_equal(np.sort(img), np.arange(n)) or np.max(np.linalg.norm(
+                    rel[img] - rel @ mat.T, axis=1)) > 1e-12 * self.ball_radius or any(
                     np.max(np.abs(v[img] - v)) > 1e-12 * np.max(np.abs(v))
                     for v in (self.vw, self.weights)):
                 return None
-            image = np.sort(np.where(self.stencil_mask, img[self.nbr], n), axis=1)
-            bad = np.flatnonzero(np.any(image != own[img], axis=1))
-            if len(bad):
-                raise RuntimeError(f"the symmetry {mat.round(12).tolist()} maps the stencil "
-                                   f"of row {bad[0]} off the stencil of row {img[bad[0]]}")
             return img
 
         axis, z = np.hypot(rel[:, 0], rel[:, 1]), rel[:, 2]
         far = np.argmax(axis)
         ring = np.sum(np.hypot(axis - axis[far], z - z[far]) <= 1e-9 * self.ball_radius)
         for m in (d for d in range(ring, 0, -1) if ring % d == 0):   # m = 1 always maps
-            turn = perm(Rotation.from_euler("z", 2.0 * np.pi / m).as_matrix())
+            turn = perm(_turn(2.0 * np.pi / m))
             if turn is not None:
                 break
         flip = perm(np.diag([1.0, 1.0, -1.0]))
@@ -268,8 +262,8 @@ class BSAssembler:
         # element (a, b) = rotation^a mirror^b, and chi_{a,b}, sit at b m + a
         perms = np.array(perms + ([] if flip is None else [flip[p] for p in perms]))
         b, a = np.divmod(np.arange(len(perms)), m)
-        self.symmetries = Rotation.from_euler("z", 2.0 * np.pi * a[:, None] / m).as_matrix()
-        self.symmetries[:, 2, 2] = (-1.0) ** b
+        self.symmetries = np.array([_turn(2.0 * np.pi * j / m, (-1.0) ** i)
+                                    for i, j in zip(b, a)])
         self._reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(n))
         # slot (h, s) holds column perm_h(rep s), or -1 if an earlier slot does
         slots = perms[:, self._reps].ravel()
@@ -282,11 +276,17 @@ class BSAssembler:
         kept = [(c, np.flatnonzero(row)) for c, row in enumerate(keep) if row.any()]
         self.block_sizes = [len(r) for _, r in kept]
         self.block_orbits = [(c, np.ix_(r, r)) for c, r in kept]   # (chi, its orbits)
+        return perms
 
-    def _distance_table(self, rows, cols=None):
-        """The distinct distances from the rows' nodes to every node, and an int32
-        index into them per slot of a column layout (-1: empty, one past the last)."""
-        d = cdist(self.nodes[rows], self.nodes)
+    def _distances(self, rows):
+        """|x_r - x_j| from the rows' nodes to every node, summed as cdist sums them."""
+        x = self.nodes
+        return np.sqrt(sum(np.square(x[rows, c, None] - x[None, :, c]) for c in range(3)))
+
+    def _distance_table(self, rows, cols=None, d=None):
+        """Distinct distances from the rows' nodes to all nodes (d if given, overwritten) and
+        an int32 index into them per slot of a column layout (-1: empty, one past the end)."""
+        d = self._distances(rows) if d is None else d
         d[np.arange(len(rows)), rows] = 1.0       # placeholder; the diagonal is replaced
         dist, index = np.unique(d, return_inverse=True)
         index = index.reshape(d.shape).astype(np.int32)

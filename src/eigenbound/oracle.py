@@ -10,12 +10,13 @@ Wronskian.  Zeros of the returned coefficient in the upper half k-plane
 are the discrete eigenvalues of the channel; counts are summed with the
 2l+1 radial degeneracy.
 
-The integrator is scipy's DOP853 (Dormand-Prince 8(5,3), rtol 1e-10,
-atol 1e-40) ported to run a whole batch of k at once: each k keeps its
-own radius, step size and error control.  Stages are stored times h, so
-each costs one sum and one product, and each step evaluates V once, at
-every k's stage radii.  A scalar k runs the same arithmetic as a batch of
-one, so a value computed in a batch equals the same k computed alone.
+The integrator is Dormand-Prince 8(5,3) with scipy's DOP853 tableau and
+step control (rtol 1e-10, atol 1e-40), written out to run a whole batch
+of k at once: each k keeps its own radius, step size and error control.
+Stages are stored times h, so each costs one sum and one product, and
+each step evaluates V once, at every k's stage radii.  A scalar k runs
+the same arithmetic as a batch of one, so a value computed in a batch
+equals the same k computed alone.
 Each sweep of the argument-principle tracker is one batch.
 
 This path never touches the 3-D Nystrom machinery, which is what makes
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import (ChannelTruncationUnsafe, NonConvergent, NonpositiveImK,
                      StiffIntegration)
@@ -71,13 +71,40 @@ def riccati_hankel_plus(l: int, z: complex) -> complex:
     return _hankel_poly(l, z) * np.exp(1j * z)
 
 
-# The Dormand-Prince 8(5,3) pair with scipy's step-size control (Hairer,
-# Norsett & Wanner, Solving ODEs I, II.4-II.10): same tableau, same RMS
-# error norm over the four real components of (u, u'), same safety and
-# step-change factors.
-_A, _B, _C, _E53 = DOP853.A, DOP853.B, DOP853.C, np.array([DOP853.E5, DOP853.E3])
+# The Dormand-Prince 8(5,3) pair as scipy 1.17's DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.4-II.10): its RMS error norm over the four real components of (u, u'), step
+# control, and tableau to the last bit: A below its diagonal row by row, weights B, nodes
+# C, and the 5th- and 3rd-order error estimators over the 12 stages and f at r + h.
+_A = np.zeros((12, 12))
+_A[np.tril_indices(12, -1)] = (
+    0.05260015195876773, 0.0197250569845379, 0.0591751709536137, 0.02958758547680685, 0.0,
+    0.08876275643042054, 0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242, 0.037109375,
+    0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125, 0.03709200011850479,
+    0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023, 0.6241109587160757, 0.0, 0.0, -3.3608926294469414,
+    -0.868219346841726, 27.59209969944671, 20.154067550477894, -43.48988418106996,
+    0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+    -3.0467644718982196, 2.273310147516538, 0.0, 0.0, -10.53449546673725,
+    -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_E53 = np.array([[0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                  -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                  0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0],
+                 [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                  1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                  -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXP = -1.0 / (DOP853.error_estimator_order + 1)
+_ERR_EXP = -1.0 / 8.0     # -1/(error estimator order 7 + 1)
 _RTOL, _ATOL = 1e-10, 1e-40
 
 

@@ -399,6 +399,17 @@ def _resolve(fn, box, w, where, min_box, flags):
             return [ZeroLocation(z, z * z, w, step)]
     flags["newton_fallbacks"] += 1
     if (by if sym else max(bx, by)) <= min_box:
+        if sym and w > 1 and x1 > 0.5 * min_box:
+            # mirror pairs b, -conj b: the right half off the axis strip, searched as usual
+            right = (0.5 * min_box, x1, y0, y1)
+            w_right = _box_winding(fn, right, _BOX_N0, _BOX_DEPTH)[0]
+            if 0 < 2 * w_right <= w:
+                zs = _resolve(fn, right, w_right, f"right half of {_fmt_box(box)}", min_box,
+                              flags)
+                return zs + [ZeroLocation(-z.k.conjugate(), z.lam.conjugate(), z.multiplicity,
+                                          z.uncertainty) for z in zs] + \
+                    _resolve(fn, (-right[0], right[0], y0, y1), w - 2 * w_right,
+                             f"axis strip of {_fmt_box(box)}", min_box, flags)
         return [ZeroLocation(mid, mid * mid, w, diag)]
     tried = []
     deeper = None
@@ -465,6 +476,8 @@ def locate_zeros(fn, region, min_box: float, mirror: bool = False) -> ZeroCountR
     V's determinant: fn is then evaluated at Re k >= 0 only, and a box with
     x0 == -x1 tracks its right half, is cut across Im k alone (down to a
     height of min_box) and runs Newton on the axis, 2 evaluations a step.
+    At that height a winding >= 2 searches the box's right half beyond
+    Re k = min_box/2 as an ordinary box; its zeros' mirrors make up the left.
     """
     fn = _Memo(fn, mirror=mirror)
     flags = {"jitter_used": 0, "newton_fallbacks": 0, "boxes": 0}

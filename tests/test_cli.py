@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -373,3 +374,21 @@ def test_functionals_measured_once_with_config_spec(tmp_path, monkeypatch, comma
                    command])
     assert rc == cli.EXIT_OK
     assert calls == [(3, 1e-5)]
+
+
+def test_readme_commands_load_neither_scipy_nor_mpmath(tmp_path):
+    # a fresh interpreter imports the package and runs the README's four
+    # commands on its bump config without loading either library
+    cfg = _write_config(tmp_path, {
+        "potential": {"family": "bump", "parameters": {"v0": [-1.0, 0.0], "radius": 3.0}},
+        "eps": 1.0, "mode": "auto", "grid": "12x38"})
+    out = str(tmp_path / "out")
+    script = ("import sys, eigenbound, eigenbound.cli\n"
+              "for cmd in ('bounds', 'verify', 'count', 'compare-oracle'):\n"
+              f"    assert eigenbound.cli.main(['--config', {cfg!r}, '--out', {out!r}, cmd]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -184,8 +184,8 @@ class TestGeometry:
 
     def test_stencils_fall_back_to_every_node(self, bump_unit):
         # a centre node inside a 48-point O_h shell: all 48 tie at its
-        # 14th-nearest distance, more than the 3 N_NEIGHBORS candidates
-        # the k-d tree is asked for first, so every node is a candidate
+        # 14th-nearest distance, more than 3 N_NEIGHBORS, so the tie closure
+        # must reach past any short candidate list to every node
         shell = np.array([p for s in itertools.product((1.0, -1.0), repeat=3)
                           for p in itertools.permutations(np.array([0.1, 0.2, 0.3]) * s)])
         nodes = np.vstack([np.zeros(3), shell])

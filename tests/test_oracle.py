@@ -182,6 +182,13 @@ class TestBatch:
         assert sizes[:2] == [1, 1] and len(sizes) > 10
         assert set(sizes[2:]) == {len(DOP853.B)}
 
+    def test_tableau_is_scipys_to_the_last_bit(self):
+        assert orc._A.tobytes() == DOP853.A.tobytes()
+        assert orc._B.tobytes() == DOP853.B.tobytes()
+        assert orc._C.tobytes() == DOP853.C.tobytes()
+        assert orc._E53.tobytes() == np.array([DOP853.E5, DOP853.E3]).tobytes()
+        assert orc._ERR_EXP == -1.0 / (DOP853.error_estimator_order + 1)
+
     def test_family_profile_matches_value_fn(self):
         p = pot.screened_coulomb_potential(-37.0, 1.0, 0.25, 0.05, center=(0.2, 0.0, 0.0))
         r = np.linspace(0.0, 6.0, 50)

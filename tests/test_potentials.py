@@ -86,6 +86,29 @@ def test_divergent_weighted_norm_rejected(mollified_exp):
         pot.measure_functionals(mollified_exp, 1.3)
 
 
+@pytest.mark.parametrize("eps", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("p", [
+    pot.bump_potential(-3.0, 1.0), pot.gaussian_potential(-2.0, 0.7),
+    pot.screened_coulomb_potential(-37.0, 1.0, 0.25, 0.05),
+    pot.tabulated_potential(np.linspace(0.0, 2.0, 9),
+                            [1.0, 0.8, 0.3, -0.2, -0.5, -0.4, -0.2, -0.05, 0.0])],
+    ids=["bump", "gaussian", "screened", "tabulated-sign-change"])
+def test_radial_weighted_l1_matches_quad(p, eps):
+    # scipy's adaptive quad on the same peak-scaled integrand, peak as breakpoint
+    from scipy import integrate
+    profile, r_hi = p.radial_profile, p.truncation_radius
+    log_g = lambda r: (math.log(4.0 * math.pi * r * r * abs(profile(np.array([r]))[0]))
+                       + eps * r if r > 0 and profile(np.array([r]))[0] != 0 else -math.inf)
+    r = np.linspace(0.0, r_hi, 4097)
+    lg = [log_g(x) for x in r]
+    i = int(np.argmax(lg))
+    val = integrate.quad(lambda x: math.exp(log_g(x) - lg[i]), 0.0, r_hi, points=[r[i]],
+                         limit=200, epsabs=0.0, epsrel=1e-12)[0]
+    b, err = pot._radial_weighted_l1(profile, eps, r_hi)
+    assert b == pytest.approx(math.exp(lg[i]) * val, rel=1e-11)
+    assert 0.0 <= err <= 1e-10
+
+
 def test_compact_support_vanishes_outside(bump_unit):
     dirs, _ = grids.angular_rule(26)
     for r in (1.0, 1.2, 5.0):

@@ -1,6 +1,7 @@
 """Scalar series, inverse functions, constants, and the bound formulas."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -62,6 +63,31 @@ class TestFSeries:
         for a in (25.0, 60.0):
             mp_val = float(mp.log(sb.mp_f_series(a)))
             assert sb.log_f_series(a) == pytest.approx(mp_val, rel=1e-10)
+
+    def test_log_f_matches_gammaln_logsumexp(self):
+        # the window n* +- 14 sqrt(2 n*) + 50 summed with scipy's ln n! and logsumexp
+        from scipy.special import gammaln, logsumexp
+        for a in (17.5, 100.0, 1e4):
+            n_star = math.e * a * a
+            half = int(14.0 * math.sqrt(2.0 * n_star)) + 50
+            n = np.arange(int(n_star) - half, int(n_star) + half + 1, dtype=float)
+            ref = logsumexp(0.5 * n * np.log(n) + n * math.log(a) - gammaln(n + 1.0))
+            assert sb.log_f_series(a) == pytest.approx(ref, rel=1e-13)
+
+    def test_mp_f_window_matches_every_term(self):
+        # against the sum of every term from n = 0 up to the first below
+        # 1e-50 of the sum; the m5 well's q, e q^2 = 4.1e6, in seconds
+        with mp.workdps(50):
+            a, s, t, n = mp.mpf(30), mp.mpf(1), mp.mpf(30), 1
+            while t >= mp.mpf(10) ** -50 * s:
+                s += t
+                t *= a * mp.power(1 + mp.mpf(1) / n, mp.mpf(n) / 2) / mp.sqrt(n + 1)
+                n += 1
+            assert abs(sb.mp_f_series(30.0) / s - 1) < mp.mpf(10) ** -45
+        start = time.perf_counter()
+        val = sb.mp_f_series(1234.75)
+        assert time.perf_counter() - start < 20.0
+        assert float(mp.log(val)) == pytest.approx(sb.log_f_series(1234.75), rel=1e-12)
 
     def test_mp_f_matches_double(self):
         for a in (0.1, 0.5, 2.0, 8.0):

@@ -263,9 +263,15 @@ class TestMirrorSearch:
         assert full.winding == half.winding == 4
         assert full.total_multiplicity == half.total_multiplicity == 4
         assert half.resolution_flags["count_consistent"]
-        # the double zero is polished on the axis as one zero
-        z = half.zeros[0]
+        # the double zero is polished on the axis as one zero, and the off-axis
+        # pair is found as two simple zeros, also at the smallest box size
+        z = half.zeros[1]
         assert z.multiplicity == 2 and abs(z.k - self.A) < 1e-8
+        for zeros in (half.zeros, zc.locate_zeros(lambda k: self.f(k) / (k - self.A) ** 2,
+                                                  region, 1e-3, mirror=True).zeros):
+            pair = [zl for zl in zeros if zl.multiplicity == 1]
+            assert len(pair) == 2
+            assert abs(pair[0].k + self.B.conjugate()) < 1e-8 and abs(pair[1].k - self.B) < 1e-8
 
     def test_real_potential_factors_no_left_half_k(self, monkeypatch):
         requested = set()
