@@ -165,6 +165,16 @@ def _write_json(cfg: RunConfig, name: str, obj) -> str:
     return path
 
 
+def _write_csv(cfg: RunConfig, name: str, columns, rows) -> str:
+    """Write the columns and rows as CSV to name in the output directory; returns the path."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, name)
+    with open(path, "w") as fh:
+        for row in [columns, *rows]:
+            fh.write(",".join(str(v) for v in row) + "\n")
+    return path
+
+
 def _functionals(cfg: RunConfig):
     return potentials.measure_functionals(cfg.potential, cfg.eps, cfg.quadrature)
 
@@ -234,13 +244,8 @@ def cmd_scan(cfg: RunConfig) -> int:
 
     with ThreadPoolExecutor(max_workers=max(cfg.threads, 1)) as pool:
         rows = list(pool.map(one, ks))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "scan.csv")
-    with open(path, "w") as fh:
-        cols = "re_k,im_k,abs_D,arg_D,abs_det_plus"
-        fh.write(cols + (",refine_rel_err\n" if cfg.refine else "\n"))
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    path = _write_csv(cfg, "scan.csv", ["re_k", "im_k", "abs_D", "arg_D", "abs_det_plus"]
+                      + (["refine_rel_err"] if cfg.refine else []), rows)
     print(f"scan written to {path} ({len(rows)} points)")
     return EXIT_OK
 
@@ -263,10 +268,11 @@ def cmd_count(cfg: RunConfig) -> int:
         "zeros_minus": [[z.k.real, z.k.imag, z.multiplicity] for z in comp.zeros_minus],
     }
     _write_json(cfg, "count.json", summary)
-    zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_plus.csv"),
-                              comp.zeros_plus)
-    zerocount.write_zeros_csv(os.path.join(cfg.out_dir, "zeros_minus.csv"),
-                              comp.zeros_minus)
+    for name, zeros in (("zeros_plus.csv", comp.zeros_plus),
+                        ("zeros_minus.csv", comp.zeros_minus)):
+        _write_csv(cfg, name, ["re_k", "im_k", "re_lambda", "im_lambda", "multiplicity"],
+                   [[z.k.real, z.k.imag, z.lam.real, z.lam.imag, z.multiplicity]
+                    for z in zeros])
     print(f"found {comp.n_empirical_plus} eigenvalues of -Delta+V, "
           f"{comp.n_empirical_minus} of -Delta-V in {comp.region}")
     return EXIT_OK
@@ -296,23 +302,16 @@ def _verify_checks(cfg: RunConfig):
     maj = min((1 + a) * math.exp(2 * a * a) - scalarbounds.f_series(a) for a in a_grid)
     yield _verdict("f(a) <= (1+a)e^{2a^2}", maj, maj >= 0.0)
 
-    # kernel bound on sampled (x, y, k); the lemma's bound, times ||V||_1 at
-    # k = iT, is also the theorem's Hadamard argument
-    if mode == "Theorem1":
-        lemma, had_arg = "lemma1", "2C||V||1/(sqrt(1+4T)-1)"
-        kernel_bound = scalarbounds.lemma1_kernel_bound
-    else:
-        lemma, had_arg = "lemma2", "C~||V||1/h_eps(T)"
-        def kernel_bound(constant, kk):
-            return scalarbounds.lemma2_kernel_bound(constant, eps, kk)
+    # the lemma's kernel bound on sampled (x, y, k)
     bound_margin = math.inf
     for _ in range(8):
         x = rng.normal(scale=0.4 * p.truncation_radius, size=3) + np.asarray(p.center)
         y = rng.normal(scale=0.4 * p.truncation_radius, size=3) + np.asarray(p.center)
         kk = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.5))
         g = kernel.iterated_kernel(kk, x, y, p)
-        bound_margin = min(bound_margin, kernel_bound(c, kk) * (1 + 1e-2) - abs(g))
-    yield _verdict(f"{lemma} kernel bound", bound_margin, bound_margin >= 0.0)
+        bound = scalarbounds.lemma_kernel_bound(fn, c, math.log(abs(kk)))
+        bound_margin = min(bound_margin, bound * (1 + 1e-2) - abs(g))
+    yield _verdict(f"lemma{mode[-1]} kernel bound", bound_margin, bound_margin >= 0.0)
 
     # Hilbert-Schmidt identity
     lhs, rhs = kernel.hs_identity_check(1j, p)
@@ -321,12 +320,12 @@ def _verify_checks(cfg: RunConfig):
         0.99 <= ratio <= 1.01)
 
     # determinant factorization identity, against an independent
-    # factorization of I - A^2 assembled afresh
+    # factorization of I - A^2 assembled afresh, compared in log form
     ev = fredholm.DeterminantEvaluator(p, cfg.n_radial, cfg.n_angular)
     a = ev.assembler.matrix(1.7j)
     s, log_abs = np.linalg.slogdet(np.eye(len(a)) - a @ a)
-    direct = fredholm._to_value(s, log_abs)
-    rel = abs(ev.det_value(1.7j) - direct) / max(abs(direct), 1e-300)
+    (sm, lm), (sp, lp) = ev.factors(1.7j, (-1.0, +1.0))
+    rel = abs(sm * sp / s * scalarbounds._exp(lm + lp - log_abs) - 1.0)
     yield _verdict("det(I-A^2) = det(I-A)det(I+A)", 1e-10 - rel, rel < 1e-10)
 
     # continuation bound |D| <= f(AB/2 pi eps) on a small strip grid
@@ -337,11 +336,16 @@ def _verify_checks(cfg: RunConfig):
     yield _verdict("|D(k)| <= f(AB/2 pi eps)", margin, margin >= 0.0)
 
     # the theorem's own Hadamard step at admissible T
+    had_arg = {"Theorem1": "2C||V||1/(sqrt(1+4T)-1)", "Theorem2": "C~||V||1/h_eps(T)"}[mode]
+    name = f"|D(iT)-1| <= f({had_arg}) - 1"
     T = theorem.T_used
+    if T == math.inf:
+        raise NonConvergent(f"check {name!r} needs D(iT) at ln T = {theorem.log_T:.6g}, "
+                            f"past the double range")
     dev = abs(ev.det_value(1j * T) - 1.0)
-    had = scalarbounds.f_series(kernel_bound(c * fn.l1_norm, 1j * T)) - 1.0
-    yield _verdict(f"|D(iT)-1| <= f({had_arg}) - 1", had * (1 + 1e-2) - dev,
-        dev <= had * (1 + 1e-2))
+    had = scalarbounds.f_series(
+        scalarbounds.lemma_kernel_bound(fn, c * fn.l1_norm, theorem.log_T)) - 1.0
+    yield _verdict(name, had * (1 + 1e-2) - dev, dev <= had * (1 + 1e-2))
 
     # corollary dominates theorem at the corollary's implied T (which may sit
     # exactly on the strict threshold, hence enforce=False)

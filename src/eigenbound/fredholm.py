@@ -133,7 +133,7 @@ def _turn(angle, flip=1.0):
 
 
 def _check_strip(k: complex, p: Potential, radius: float):
-    """Admit k where the continued kernel is defined and its entries are doubles.
+    """Admit a finite k where the continued kernel is defined and its entries are doubles.
 
     Below the real axis the kernel grows like e^{-Im k |x-y|}; across a
     ball of the given radius that leaves the double range once
@@ -141,6 +141,8 @@ def _check_strip(k: complex, p: Potential, radius: float):
     """
     if k == 0:
         raise ContinuationOutOfStrip("assembly requires k != 0")
+    if not math.isfinite(abs(k)):
+        raise ContinuationOutOfStrip(f"assembly requires a finite k, got k = {k}")
     if k.imag > 0:
         return
     if not p.is_compact and k.imag <= -p.decay_class.eps / 4.0:

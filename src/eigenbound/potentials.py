@@ -430,14 +430,9 @@ def measure_functionals(p: Potential, eps: float,
     center = np.asarray(p.center)
 
     nodes, w = grids.ball_rule(rho_t, quad.n_radial, quad.n_angular, center)
-    absv = np.abs(p.value_fn(nodes))
-    l1 = float(np.dot(w, absv))
-    l2sq = float(np.dot(w, absv ** 2))
-
-    # refinement-based error estimate (doubled radial rule)
-    nodes2, w2 = grids.ball_rule(rho_t, 2 * quad.n_radial, quad.n_angular, center)
-    l1_fine = float(np.dot(w2, np.abs(p.value_fn(nodes2))))
-    err = abs(l1 - l1_fine) / max(l1_fine, 1e-300) if l1_fine > 0 else 0.0
+    l2sq = float(np.dot(w, np.abs(p.value_fn(nodes)) ** 2))
+    # ||V||_1 is B(0), with the doubled-radial-rule error estimate
+    l1, err = _ball_weighted_l1(p, 0.0, rho_t, quad.n_radial, quad.n_angular, center)
 
     linf, _ = _sup_over_ball(lambda pts: np.abs(p.value_fn(pts)), rho_t, center, quad)
     grad_linf, _ = _sup_over_ball(

@@ -4,9 +4,9 @@ Implements the combinatorial series f(a) = sum_n n^{n/2} a^n / n!, its
 inverse, the weighted-exponential pair g_eps / h_eps, the kernel-bound
 constants for compactly supported and exponentially decaying potentials,
 the discrete-spectral-radius bounds, and the total-multiplicity bounds
-with their corollary closed forms.  count_bounds is the one place that
-chooses between the two results (Lemma/Theorem/Corollary 1 for compact
-support, 2 for exponential decay) from the potential's decay class.
+with their corollary closed forms.  count_bounds and lemma_kernel_bound
+choose between the results for compact support (Lemma/Theorem/Corollary
+1) and exponential decay (2) from the potential's decay class.
 f is summed directly up to a = 17; past that ln f(a) is the one path,
 and f(a) is its exponential, +inf exactly where f leaves the double range.
 
@@ -128,7 +128,7 @@ def g_eps(eps: float, t: float) -> float:
 
 
 def h_eps(eps: float, s: float) -> float:
-    """Inverse of g_eps: the unique root of t e^{eps t} = s, by safeguarded Newton."""
+    """Inverse of g_eps: the unique root of t e^{eps t} = s, by Newton in ln t."""
     if s < 0 or eps <= 0:
         raise ValueError("need s >= 0 and eps > 0")
     if s == 0.0:
@@ -137,28 +137,17 @@ def h_eps(eps: float, s: float) -> float:
 
 
 def _h_eps_log(eps: float, ls: float) -> float:
-    """h_eps(e^ls), also for s past the double range: the root of ln t + eps t = ls."""
-    s = _exp(ls)
-    t = min(s, math.log1p(eps * s) / eps) if math.isfinite(s) \
-        else (math.log(eps) + ls) / eps
-    if t <= 0.0:
-        t = s
-    lo, hi = 0.0, s
+    """h_eps(e^ls), also past the double range: e^x at the root of the convex,
+    increasing x + eps e^x - ls, by Newton from any start (monotone after the
+    first step); starting at ls, or ln(ls/eps) if smaller, keeps e^x a double."""
+    x = min(ls, math.log(ls / eps)) if ls > 0.0 else ls
     for _ in range(200):
-        phi = math.log(t) + eps * t - ls
-        if phi > 0:
-            hi = t
-        else:
-            lo = t
-        step = phi / (1.0 / t + eps)
-        t_new = t - step
-        if not (lo < t_new < (hi if hi > 0 else s)):
-            t_new = 0.5 * (lo + (hi if hi > lo else t + t))
-        if abs(t_new - t) <= 1e-12 * max(t, 1e-300):
-            t = t_new
+        ex = eps * math.exp(x)
+        step = (x + ex - ls) / (1.0 + ex)
+        x -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(x)):
             break
-        t = t_new
-    return t
+    return math.exp(x)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +188,16 @@ def lemma2_kernel_bound(Ct: float, eps: float, k: complex) -> float:
     if ak == 0.0:
         raise DegenerateK("kernel bound diverges at k = 0")
     return Ct / h_eps(eps, ak)
+
+
+def lemma_kernel_bound(fn: PotentialFunctionals, constant: float, ln_k: float) -> float:
+    """Lemma 1's (compact support) or Lemma 2's (exponential decay, at fn.eps) kernel
+    bound at |k| = e^ln_k, also past the double range, where Lemma 1's is C/sqrt|k|."""
+    if fn.decay_kind == "exponential":
+        return constant / _h_eps_log(fn.eps, ln_k)
+    ak = _exp(ln_k)
+    return (lemma1_kernel_bound(constant, ak) if ak < math.inf
+            else constant * math.exp(-0.5 * ln_k))
 
 
 def log_radius_bound(fn: PotentialFunctionals, constant: float, mode: str,
@@ -344,14 +343,13 @@ def _check_eps(fn: PotentialFunctionals, eps: float):
             f"functionals were measured at eps={fn.eps}, bound requested eps={eps}")
 
 
-def _theorem_bound(fn, constant, kind, params, enforce, ln_R, ln_t2, t2_text,
-                   hadamard_arg):
+def _theorem_bound(fn, constant, kind, params, enforce, ln_R, ln_t2, t2_text):
     """The form Theorems 1 and 2 share, evaluated in logarithms.
 
     N(V) <= [ln(rho/sqrt(T^2+R))]^{-1} [ln f(AB/2 pi eps) - ln(2 - f(a_T))]
     for T > max(2R/eps - eps/8, t2) and rho = T + eps/4, which must exceed
-    sqrt(T^2+R).  The lemma supplies ln t2 and the Hadamard argument
-    a_T = hadamard_arg(T, ln T).
+    sqrt(T^2+R).  The theorem supplies ln t2; the Hadamard argument a_T is
+    the lemma's kernel bound at k = iT times ||V||_1 (lemma_kernel_bound).
     """
     eps = params.eps
     ln_tl = max(_ln_threshold(ln_R, eps), ln_t2)
@@ -368,7 +366,7 @@ def _theorem_bound(fn, constant, kind, params, enforce, ln_R, ln_t2, t2_text,
     if enforce and ln_denom == -math.inf:
         raise InadmissibleRho(
             f"rho={T + delta:.6g} not above sqrt(T^2+R) for T={_fmt(ln_T)}")
-    arg2 = hadamard_arg(T, ln_T)
+    arg2 = lemma_kernel_bound(fn, constant * fn.l1_norm, ln_T)
     floor = 2.0 - f_series(arg2)
     if floor <= 0.0:
         raise NegativeLogArgument(
@@ -416,13 +414,11 @@ def n_bound_theorem1(fn: PotentialFunctionals, C: float,
     _check_eps(fn, params.eps)
     if precision == "extended":
         return _mp_theorem_bound(fn, C, "C", params, enforce, lambda mp, cl1, eps: (
-            (cl1 * (1 + cl1)) ** 2, 2 * cl1 * (1 + 2 * cl1),
-            lambda T: 2 * cl1 / (mp.sqrt(1 + 4 * T) - 1)))
+            (cl1 * (1 + cl1)) ** 2, 2 * cl1 * (1 + 2 * cl1)))
     cl1 = C * fn.l1_norm
     return _theorem_bound(
         fn, C, "C", params, enforce, log_radius_bound(fn, C, "Theorem1"),
-        _log(2.0 * cl1) + math.log1p(2.0 * cl1), "2C||V||1(1+2C||V||1)",
-        lambda T, ln_T: lemma1_kernel_bound(cl1, T))
+        _log(2.0 * cl1) + math.log1p(2.0 * cl1), "2C||V||1(1+2C||V||1)")
 
 
 def n_bound_corollary1(fn: PotentialFunctionals, C: float, eps: float,
@@ -462,13 +458,11 @@ def n_bound_theorem2(fn: PotentialFunctionals, Ct: float,
         raise DivergentB("B(eps) must be finite")
     if precision == "extended":
         return _mp_theorem_bound(fn, Ct, "Ct", params, enforce, lambda mp, cl1, eps: (
-            cl1 ** 2 * mp.exp(2 * eps * cl1), 2 * cl1 * mp.exp(2 * eps * cl1),
-            lambda T: cl1 / mp_h_eps(eps, T)))
+            cl1 ** 2 * mp.exp(2 * eps * cl1), 2 * cl1 * mp.exp(2 * eps * cl1)))
     cl1 = Ct * fn.l1_norm
     return _theorem_bound(
         fn, Ct, "Ct", params, enforce, log_radius_bound(fn, Ct, "Theorem2", eps),
-        _log(2.0 * cl1) + 2.0 * eps * cl1, "g_eps(2C~||V||1)",
-        lambda T, ln_T: cl1 / _h_eps_log(eps, ln_T))
+        _log(2.0 * cl1) + 2.0 * eps * cl1, "g_eps(2C~||V||1)")
 
 
 def n_bound_corollary2(fn: PotentialFunctionals, Ct: float, eps: float,
@@ -589,13 +583,15 @@ def _mp_report(fn, constant, kind, R, T, rho, eps, n_bound, diag):
 def _mp_theorem_bound(fn, constant, kind, params, enforce, forms):
     """Theorem 1 or 2's bound at 50 digits, in the form _theorem_bound shares.
 
-    forms(mp, cl1, eps) gives R, the second threshold t2 and the Hadamard
-    argument as a function of T, for cl1 = constant * ||V||_1.
+    forms(mp, cl1, eps) gives R and the second threshold t2, for
+    cl1 = constant * ||V||_1; the Hadamard argument is the lemma's kernel
+    bound at k = iT times ||V||_1, written again here in 50 digits.
     """
     import mpmath as mp
     with mp.workdps(50):
         eps = mp.mpf(params.eps)
-        R, t2, hadamard_arg = forms(mp, mp.mpf(constant) * mp.mpf(fn.l1_norm), eps)
+        cl1 = mp.mpf(constant) * mp.mpf(fn.l1_norm)
+        R, t2 = forms(mp, cl1, eps)
         t_lower = max(2 * R / eps - eps / 8, t2)
         T = mp.mpf(params.T) if params.T is not None else \
             (mp.mpf("1.01") * t_lower if t_lower > 0 else eps)
@@ -604,7 +600,8 @@ def _mp_theorem_bound(fn, constant, kind, params, enforce, forms):
         rho = T + eps / 4
         if enforce and rho < mp.sqrt(T * T + R):
             raise InadmissibleRho("rho = T + eps/4 not above sqrt(T^2+R)")
-        floor = 2 - mp_f_series(hadamard_arg(T))
+        floor = 2 - mp_f_series(2 * cl1 / (mp.sqrt(1 + 4 * T) - 1)
+                                if fn.decay_kind == "compact" else cl1 / mp_h_eps(eps, T))
         if floor <= 0:
             raise NegativeLogArgument("2 - f(...) <= 0")
         q = mp.mpf(fn.weighted_sup) * mp.mpf(fn.weighted_l1) / (2 * mp.pi * eps)

@@ -18,7 +18,6 @@ count numerically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List
@@ -491,15 +490,6 @@ def locate_zeros(fn, region, min_box: float, mirror: bool = False) -> ZeroCountR
     result = ZeroCountResult(w_root, zeros, resolution_flags=flags)
     flags["count_consistent"] = (result.total_multiplicity == result.winding)
     return result
-
-
-def write_zeros_csv(path, zeros: List[ZeroLocation]):
-    """Columns: re_k, im_k, re_lambda, im_lambda, multiplicity."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["re_k", "im_k", "re_lambda", "im_lambda", "multiplicity"])
-        for z in zeros:
-            wr.writerow([z.k.real, z.k.imag, z.lam.real, z.lam.imag, z.multiplicity])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,39 @@ class TestVerify:
                    for r in json.loads((out / "verify.json").read_text())}
         assert results["det(I-A^2) = det(I-A)det(I+A)"] is False
 
+    def test_factorization_check_past_double_range(self, tmp_path):
+        # bump(-400, 3): ln|D(1.7i)| = 828.8, so the check compares the
+        # (phase, ln|det|) pairs, never |D| itself
+        cfg = _write_config(tmp_path, {
+            "potential": {"family": "bump",
+                          "parameters": {"v0": [-400.0, 0.0], "radius": 3.0}},
+            "eps": 1.0, "grid": "12x38"})
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "verify"]) == cli.EXIT_OK
+        results = json.loads((out / "verify.json").read_text())
+        assert len(results) == 8 and all(r["ok"] for r in results)
+
+    def test_hadamard_check_past_double_range_exits_4(self, tmp_path, capsys):
+        # the m2 well: T is past the double range, so D(iT) cannot be
+        # assembled; the check stops by name before any assembly at iT
+        cfg = _write_config(tmp_path, {
+            "potential": {"family": "screened_coulomb",
+                          "parameters": {"v0": -37.0, "rate": 1.0,
+                                         "core_radius": 0.25, "smoothing": 0.05}},
+            "eps": 0.5, "tolerances": {"quadrature": 1e-3}})
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "bounds"]) == cli.EXIT_OK
+        log_t = json.loads((out / "bounds.json").read_text())["theorem"]["log_T"]
+        assert log_t > 710.0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["--config", cfg, "--out", str(out), "verify"])
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "|D(iT)-1| <= f(C~||V||1/h_eps(T)) - 1" in err
+        assert f"ln T = {log_t:.6g}" in err
+
     def test_fault_injection_fails_named_check(self, tmp_path, monkeypatch):
         lemma1_constant = scalarbounds.lemma1_constant
         monkeypatch.setattr(scalarbounds, "lemma1_constant",
@@ -377,15 +411,16 @@ def test_functionals_measured_once_with_config_spec(tmp_path, monkeypatch, comma
 
 
 def test_readme_commands_load_neither_scipy_nor_mpmath(tmp_path):
-    # a fresh interpreter imports the package and runs the README's four
+    # a fresh interpreter imports the package and runs the README's five
     # commands on its bump config without loading either library
     cfg = _write_config(tmp_path, {
         "potential": {"family": "bump", "parameters": {"v0": [-1.0, 0.0], "radius": 3.0}},
         "eps": 1.0, "mode": "auto", "grid": "12x38"})
     out = str(tmp_path / "out")
     script = ("import sys, eigenbound, eigenbound.cli\n"
-              "for cmd in ('bounds', 'verify', 'count', 'compare-oracle'):\n"
-              f"    assert eigenbound.cli.main(['--config', {cfg!r}, '--out', {out!r}, cmd]) == 0\n"
+              "for cmd in (['bounds'], ['verify'], ['count'], ['compare-oracle'],\n"
+              "            ['--region=-2,2,-0.1,2', 'scan']):\n"
+              f"    assert eigenbound.cli.main(['--config', {cfg!r}, '--out', {out!r}, *cmd]) == 0\n"
               "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

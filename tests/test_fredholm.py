@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -82,6 +83,16 @@ class TestAssembly:
         asm = fr.BSAssembler(mollified_exp, *fr.build_grid(mollified_exp, 6, 14))
         with pytest.raises(ContinuationOutOfStrip):
             asm.matrix(1.0 - 0.3j)   # below -eps/4 = -0.25
+
+    def test_non_finite_k_refused_before_assembly(self, bump_unit):
+        # 1j * T at T = +inf is nan+inf j, above the axis: refused by name
+        # before any kernel entry or LU is computed
+        ev = fr.DeterminantEvaluator(bump_unit, 6, 14)
+        for k in (1j * math.inf, complex(math.nan, 1.0), complex(math.inf, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ContinuationOutOfStrip, match="finite k"):
+                    ev.factors(k, (-1.0, +1.0))
 
     def test_rows_integrate_constants_and_linears_exactly(self):
         # with V = 1 the matrix IS the corrected weight table; its rows must
